@@ -23,7 +23,7 @@ from .decompose import (
     similar,
     verify,
 )
-from .programs import Program, dual, gnd, signature_of, width
+from .programs import CanonicalFormBudgetError, Program, dual, gnd, signature_of, width
 from .semantics import least_model, tp
 from .sld import render_derivation, sld, translated_sld
 from .syntax import ParseError, atom_to_text, parse_program, parse_query, program_to_text
@@ -164,18 +164,7 @@ def _cmd_search(args) -> int:
 def _cmd_similar(args) -> int:
     left = _load(args.left)
     right = _load(args.right)
-    bounds = None
-    if args.max_body is not None or args.budget != 60.0:
-        universe = frozenset()
-        from .programs import program_atoms
-
-        universe = program_atoms(left) | program_atoms(right)
-        bounds = SearchBounds(
-            frozenset(universe),
-            args.max_body if args.max_body is not None else max(len(universe), 1),
-            time_budget=args.budget,
-        )
-    result = similar(left, right, bounds)
+    result = similar(left, right, _bounds_for(left, right, args))
     print(result.outcome)
     if result.forward.status == BUDGET_EXCEEDED or result.backward.status == BUDGET_EXCEEDED:
         return 3
@@ -269,8 +258,12 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except CompositionBudgetError as exc:
+    except (CompositionBudgetError, CanonicalFormBudgetError) as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("resource cap exceeded: input nested too deeply (Python recursion limit)",
+              file=sys.stderr)
         return 3
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

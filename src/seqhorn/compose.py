@@ -61,7 +61,7 @@ def compose(p: Program, r: Program, *,
             new_head = subst_atom(rule.head, theta)
             new_body = [subst_atom(b, theta) for v in variants for b in v.body]
             out.append(canonicalize(make_rule(new_head, new_body)))
-    return Program(sorted(set(out), key=rule_key))
+    return Program._of_canonical(sorted(set(out), key=rule_key))
 
 
 def compose_ground(p: Program, r: Program, *,

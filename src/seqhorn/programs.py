@@ -14,8 +14,7 @@ stateful facility is the fresh-name pool, which is always per-computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from math import factorial
+from itertools import product
 from typing import Iterable, Iterator
 
 from .terms import (
@@ -102,14 +101,29 @@ def rule_key(r: Rule):
 # ---------------------------------------------------------------------------
 # Canonical forms
 
-_CANON_PERM_CAP = 5040  # falls back to a sort/rename fixpoint beyond 7!
+_CANON_WORK_CAP = 100_000  # atoms one canonical-form search may rename or match
+
+
+class CanonicalFormBudgetError(Exception):
+    """The canonical-form search for one rule renamed and matched more
+    atoms than ``_CANON_WORK_CAP`` (a resource error, like the composition
+    cap: the CLI reports it with exit status 3)."""
+
+
+def _spend(budget: list[int], work: int) -> None:
+    budget[0] -= work
+    if budget[0] < 0:
+        raise CanonicalFormBudgetError(
+            f"canonical form needs over {_CANON_WORK_CAP} atom renamings and matches")
 
 
 def _rename_first_occurrence(head: Atom, body: tuple[Atom, ...]) -> Rule:
-    seen: list[str] = []
+    seen: dict[str, None] = {}
     atom_var_order(head, seen)
     for a in body:
         atom_var_order(a, seen)
+    if not seen:
+        return Rule(head, body)
     ren: Subst = {n: Var(f"v{i}") for i, n in enumerate(seen, start=1)}
     return Rule(subst_atom(head, ren), tuple(subst_atom(a, ren) for a in body))
 
@@ -117,55 +131,273 @@ def _rename_first_occurrence(head: Atom, body: tuple[Atom, ...]) -> Rule:
 def canonicalize(r: Rule) -> Rule:
     """Canonical representative of the rule's alpha-equivalence class.
 
-    Body atoms are sorted under the fixed total order with all variables
-    compared equal at first pass, variables are renamed v1, v2, ... in order
-    of first occurrence in (head, sorted body), and ties between atoms that
-    are equal up to variable names are broken by the least fully-named form.
-    Idempotent and invariant under alpha-renaming of the input.
+    The body is deduplicated and split into same-shape groups (atoms equal
+    up to variable names), laid out in the fixed order of their shapes.
+    Among all orderings of the atoms inside each group, the canonical rule
+    is the one whose ``rule_key`` is least after renaming its variables v1,
+    v2, ... in order of first occurrence in (head, body).  The result is
+    exact, idempotent, and invariant under alpha-renaming.
+
+    The least ordering is found by filling body positions left to right and
+    branching only on atoms tied for the least renamed ``atom_key`` (see
+    ``_least_body``); rules without same-shape groups take no search.  The
+    search is exponential in the worst case: past ``_CANON_WORK_CAP`` atoms
+    renamed and matched it raises ``CanonicalFormBudgetError``.  The work
+    pruning takes can depend on variable names and body order, so a rule
+    near the cap may raise for one alpha-variant and not for another.
     """
-    body = sorted(set(r.body), key=atom_key)
     groups: list[list[Atom]] = []
-    keys: list = []
-    for a in sorted(body, key=lambda a: atom_key(a, named_vars=False)):
-        k = atom_key(a, named_vars=False)
-        if keys and keys[-1] == k:
+    last = None
+    # Full keys are unique within a set, so the atoms are never compared.
+    for shape, _, a in sorted((atom_key(a, named_vars=False), atom_key(a), a)
+                              for a in set(r.body)):
+        if groups and shape == last:
             groups[-1].append(a)
         else:
             groups.append([a])
-            keys.append(k)
-
-    n_candidates = 1
-    for g in groups:
-        n_candidates *= factorial(len(g))
-    if n_candidates > _CANON_PERM_CAP:
-        return _canonicalize_iterative(r.head, [a for g in groups for a in g])
-
-    best: Rule | None = None
-    best_key = None
-    for arrangement in product(*(permutations(g) for g in groups)):
-        flat = tuple(a for g in arrangement for a in g)
-        cand = _rename_first_occurrence(r.head, flat)
-        k = rule_key(cand)
-        if best_key is None or k < best_key:
-            best, best_key = cand, k
-    assert best is not None
-    return best
+            last = shape
+    if all(len(g) == 1 for g in groups):
+        return _rename_first_occurrence(r.head, tuple(g[0] for g in groups))
+    head_vars: dict[str, None] = {}
+    atom_var_order(r.head, head_vars)
+    numbering: Subst = {n: Var(f"v{i}") for i, n in enumerate(head_vars, start=1)}
+    head = subst_atom(r.head, numbering)
+    return Rule(head, _least_body(groups, numbering))
 
 
-def _canonicalize_iterative(head: Atom, body: list[Atom]) -> Rule:
-    # Degenerate escape hatch for huge same-shape atom groups: iterate
-    # sort-then-rename to a fixpoint (deterministic, best effort).
-    cand = _rename_first_occurrence(head, tuple(body))
-    for _ in range(8):
-        nxt = _rename_first_occurrence(cand.head, tuple(sorted(cand.body, key=atom_key)))
-        if nxt == cand:
-            break
-        cand = nxt
-    return cand
+def _renamed(a: Atom, numbering: Subst) -> tuple:
+    """(key, atom, fresh): ``a`` renamed under ``numbering``, its unnumbered
+    variables taking the next numbers in first-occurrence order, which
+    ``fresh`` maps them to."""
+    order: dict[str, None] = {}
+    atom_var_order(a, order)
+    ren: Subst = {}
+    fresh: Subst = {}
+    nxt = len(numbering) + 1
+    for n in order:
+        v = numbering.get(n)
+        if v is None:
+            v = fresh[n] = Var(f"v{nxt + len(fresh)}")
+        ren[n] = v
+    renamed = subst_atom(a, ren)
+    return atom_key(renamed), renamed, fresh
 
 
-def alpha_equal(a: Rule, b: Rule) -> bool:
-    return canonicalize(a) == canonicalize(b)
+def _match_args(cs: tuple, ds: tuple, f: dict[str, str], used: set[str],
+                ext: dict[str, str]) -> bool:
+    """Extend ``ext`` so that the variable map ``f`` + ``ext`` takes the
+    terms ``cs`` to ``ds``, keeping the map injective; False if it cannot."""
+    for s, t in zip(cs, ds):
+        if isinstance(s, Var):
+            if not isinstance(t, Var):
+                return False
+            y = f.get(s.name) or ext.get(s.name)
+            if y is None:
+                if t.name in used or t.name in ext.values():
+                    return False
+                ext[s.name] = t.name
+            elif y != t.name:
+                return False
+        elif isinstance(s, Compound):
+            if not (isinstance(t, Compound) and s.functor == t.functor
+                    and len(s.args) == len(t.args)
+                    and _match_args(s.args, t.args, f, used, ext)):
+                return False
+        elif s != t:
+            return False
+    return True
+
+
+def _automorphism(f: dict[str, str], todo: list[str], left: set[Atom],
+                  occurs: dict[str, list[Atom]], steps: list[int]) -> Subst | None:
+    """A permutation of variable names that extends the injective map
+    ``f`` and maps the atoms ``left`` onto themselves, or None.
+    ``occurs`` lists the atoms of ``left`` that hold each variable.
+
+    The atoms holding a newly mapped variable (``todo``) are matched
+    against the atoms holding its image: an atom with one possible image
+    extends the map; with none, this map has no extension.  When no atom
+    is forced, the images of the first open atom are tried in turn, each
+    try costing an eighth of the atoms in steps (at most 64 tries).  The
+    finished map is closed into a permutation (each path of it turned into
+    a cycle) and checked on the atoms it moves.  ``steps`` bounds the atoms
+    matched and checked; running out answers None, which only costs the
+    caller a pruning.
+    """
+    f = dict(f)
+    used = set(f.values())
+    opened: list[Atom] = []
+    while todo:
+        x = todo.pop()
+        for c in occurs.get(x, ()):
+            steps[0] -= 1
+            if steps[0] < 0:
+                return None
+            exts = []
+            for d in occurs.get(f[x], ()):
+                ext: dict[str, str] = {}
+                if (d.pred == c.pred and len(d.args) == len(c.args)
+                        and _match_args(c.args, d.args, f, used, ext)):
+                    exts.append(ext)
+                    if len(exts) > 1:
+                        break
+            if not exts:
+                return None
+            if len(exts) > 1:
+                opened.append(c)
+            for y, z in exts[0].items() if len(exts) == 1 else ():
+                f[y] = z
+                used.add(z)
+                todo.append(y)
+    for c in opened:
+        names = atom_vars(c)
+        if names <= f.keys():
+            continue
+        x = next(n for n in names if n in f)
+        for d in occurs.get(f[x], ()):
+            ext = {}
+            steps[0] -= len(left) // 8 + 1
+            if steps[0] < 0:
+                return None
+            if (d.pred == c.pred and len(d.args) == len(c.args)
+                    and _match_args(c.args, d.args, f, used, ext)):
+                perm = _automorphism({**f, **ext}, list(ext), left, occurs, steps)
+                if perm is not None:
+                    return perm
+        return None
+    perm: Subst = {x: Var(y) for x, y in f.items() if x != y}
+    for y in set(f.values()) - f.keys():  # the end of a path: back to its start
+        x = y
+        while x in used:
+            x = next(k for k, v in f.items() if v == x)
+        perm[y] = Var(x)
+    moved = {b for x in perm for b in occurs[x]}
+    steps[0] -= len(moved)
+    if steps[0] >= 0 and all(subst_atom(b, perm) in left for b in moved):
+        return perm
+    return None
+
+
+def _orbit_representatives(tied: list[tuple], left: list[Atom], numbering: Subst,
+                           names: dict[Atom, frozenset[str]],
+                           budget: list[int]) -> list[tuple]:
+    """The tied candidates less those an already kept one is taken to by a
+    permutation of the unnumbered variables that maps the atoms ``left``
+    onto themselves (orbit pruning): such a choice leads to a renaming of
+    what the kept one leads to.  ``names`` holds each atom's variables;
+    the atoms indexed and matched are taken from ``budget``."""
+    _spend(budget, len(left))
+    occurs: dict[str, list[Atom]] = {}
+    for b in left:
+        for n in names[b]:
+            occurs.setdefault(n, []).append(b)
+    left_set: set[Atom] = set()  # filled at the first match: hashing an atom walks its terms
+    fixed = {n: n for n in occurs if n in numbering}
+    # Such a permutation keeps each variable's distance from the numbered
+    # ones (through shared atoms), so only candidates whose fresh variables
+    # lie at equal distances are matched.
+    dist = dict.fromkeys(fixed, 0)
+    queue = list(fixed)
+    for x in queue:
+        for b in occurs[x]:
+            for y in names[b]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+    kept: list[tuple] = []
+    for c in tied:
+        new = list(c[3])
+        at = [dist.get(x) for x in new]
+        for k, k_at in kept:
+            if k_at != at:
+                continue
+            left_set = left_set or set(left)
+            steps = [8 * len(left)]
+            perm = _automorphism({**fixed, **dict(zip(k[3], new))}, list(k[3]), left_set,
+                                 occurs, steps)
+            _spend(budget, 8 * len(left) - steps[0])
+            if perm is not None:
+                break
+        else:
+            kept.append((c, at))
+    return [c for c, _ in kept]
+
+
+def _least_body(groups: list[list[Atom]], numbering: Subst) -> tuple[Atom, ...]:
+    """The least renaming of the body: its same-shape ``groups`` in order,
+    the atoms inside each ordered freely, ``numbering`` naming the head's
+    variables.
+
+    Positions are filled left to right.  The frontier holds every distinct
+    search state whose renamed prefix is the least so far: the atoms left
+    in the current group, and the numbering met so far.  Each position
+    takes the least renamed ``atom_key`` that any state can place next,
+    and the new frontier is the states that place it, one per tied atom
+    outside the orbits already taken (``_orbit_representatives``); states
+    with the same atoms left, the same numbering of their variables and
+    the same next number are merged.  Atoms with no numbered variable and
+    the same pattern of variables rename alike, so a state renames one of
+    them.  ``_CANON_WORK_CAP`` bounds the atoms renamed by states beyond
+    the first and the atoms indexed and matched in pruning.
+    """
+    names = {a: frozenset(atom_vars(a)) for g in groups for a in g}
+    pattern = {a: _renamed(a, {})[0] for a in names}
+    body: list[Atom] = []
+    frontier: list[tuple[list[Atom], Subst]] = [(groups[0], numbering)]
+    gi = 0
+    budget = [_CANON_WORK_CAP]
+    while True:
+        if not frontier[0][0]:  # every state is at the same position
+            gi += 1
+            if gi == len(groups):
+                return tuple(body)
+            frontier = [(groups[gi], num) for _, num in frontier]
+        least = None  # (key, renamed atom) placed next
+        options: list[tuple] = []
+        for i, (rest, num) in enumerate(frontier):
+            cands = []
+            alike: dict = {}  # pattern -> atoms of ``rest`` with no numbered variable
+            for a in rest:
+                if num.keys().isdisjoint(names[a]):
+                    same = alike.setdefault(pattern[a], [])
+                    same.append(a)
+                    if len(same) > 1:
+                        continue
+                cands.append((a, *_renamed(a, num)))
+            if i:
+                _spend(budget, len(cands))
+            low = min(cands, key=lambda c: c[1])
+            if least is None or low[1] < least[0]:
+                least, options = low[1:3], []
+            if low[1] == least[0]:
+                tied = []
+                for c in cands:
+                    if c[1] == low[1]:
+                        tied.append(c)
+                        same = alike.get(pattern[c[0]], ())
+                        if same and same[0] is c[0]:  # c stands for the atoms alike
+                            tied.extend((b, *_renamed(b, num)) for b in same[1:])
+                options.append((rest, num, tied))
+        body.append(least[1])
+        later = [a for g in groups[gi + 1:] for a in g]
+        succ = []
+        for rest, num, tied in options:
+            if len(tied) > 1:
+                tied = _orbit_representatives(tied, rest + later, num, names, budget)
+            succ.extend(([b for b in rest if b is not a], {**num, **fresh})
+                        for a, _, _, fresh in tied)
+        if len(succ) == 1:
+            frontier = succ
+            continue
+        later_names = frozenset().union(*(names[a] for a in later))
+        merged: dict = {}
+        for rest, num in succ:
+            live = later_names.union(*(names[a] for a in rest))
+            # atoms by identity: hashing an atom walks its terms
+            key = (frozenset(map(id, rest)),
+                   frozenset((n, v.name) for n, v in num.items() if n in live), len(num))
+            merged.setdefault(key, (rest, num))
+        frontier = list(merged.values())
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +415,18 @@ class Program:
     __slots__ = ("_rules", "_ruleset")
 
     def __init__(self, rules: Iterable[Rule] = ()) -> None:
-        ordered: list[Rule] = []
-        seen: set[Rule] = set()
-        for r in rules:
-            c = canonicalize(r)
-            if c not in seen:
-                seen.add(c)
-                ordered.append(c)
-        self._rules: tuple[Rule, ...] = tuple(ordered)
+        self._keep(canonicalize(r) for r in rules)
+
+    @classmethod
+    def _of_canonical(cls, rules: Iterable[Rule]) -> "Program":
+        """Program of rules that are already canonical, kept as they are."""
+        prog = cls.__new__(cls)
+        prog._keep(rules)
+        return prog
+
+    def _keep(self, canonical: Iterable[Rule]) -> None:
+        ordered = tuple(dict.fromkeys(canonical))
+        self._rules: tuple[Rule, ...] = ordered
         self._ruleset: frozenset[Rule] = frozenset(ordered)
 
     @property
@@ -231,10 +467,6 @@ class Program:
 
 
 EMPTY = Program()
-
-
-def program(*rules: Rule) -> Program:
-    return Program(rules)
 
 
 def interpretation(atoms: Iterable[Atom]) -> Program:

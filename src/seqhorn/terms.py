@@ -86,17 +86,17 @@ def atom_vars(a: Atom, acc: set[str] | None = None) -> set[str]:
     return acc
 
 
-def term_var_order(t: Term, seen: list[str]) -> None:
-    """Append variable names to ``seen`` in first-occurrence order."""
+def term_var_order(t: Term, seen: dict[str, None]) -> None:
+    """Add variable names to the insertion-ordered ``seen`` in
+    first-occurrence order."""
     if isinstance(t, Var):
-        if t.name not in seen:
-            seen.append(t.name)
+        seen.setdefault(t.name)
     elif isinstance(t, Compound):
         for a in t.args:
             term_var_order(a, seen)
 
 
-def atom_var_order(a: Atom, seen: list[str]) -> None:
+def atom_var_order(a: Atom, seen: dict[str, None]) -> None:
     for t in a.args:
         term_var_order(t, seen)
 

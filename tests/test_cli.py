@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import pytest
+
 from conftest import FIXTURES, run_seqhorn
 
 
@@ -194,6 +196,28 @@ class TestErrors:
         out = run_cli("compose", left, right)
         assert out.returncode == 3
         assert "resource cap" in out.stderr
+
+    @pytest.mark.parametrize("command", ["width", "dual"])
+    def test_deep_term_exit_three(self, tmp_path, command):
+        # a 1500-element list nests deeper than Python's recursion limit
+        deep = write(tmp_path, "deep.lp",
+                     "p([" + ",".join(str(i) for i in range(1500)) + "]).\n")
+        out = run_cli(command, deep)
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        assert out.stderr.count("\n") == 1 and "resource cap" in out.stderr
+
+    def test_canonical_form_cap_exit_three(self, tmp_path, monkeypatch, capsys):
+        # in process, so that the work cap can be lowered to fit a 6-cycle
+        import seqhorn.programs
+        from seqhorn.cli import main
+
+        monkeypatch.setattr(seqhorn.programs, "_CANON_WORK_CAP", 5)
+        cycle = write(tmp_path, "cycle.lp",
+                      "p :- " + ", ".join(f"e(X{i}, X{(i + 1) % 6})" for i in range(6)) + ".\n")
+        assert main(["width", cycle]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "resource cap" in err
 
 
 class TestDeterminism:

@@ -122,6 +122,30 @@ class TestAlgebraicLaws:
             assert compose(p_rev, r_rev) == compose(p, r)
 
 
+class TestCanonicalizeOnce:
+    def test_one_canonicalize_per_emitted_rule(self, monkeypatch):
+        import sys
+
+        import seqhorn.programs
+
+        left = parse_program("p(X) :- q(X, Y), q(Y, Z).\nf(a).")
+        right = parse_program("q(a, b).\nq(b, c).\nq(X, X).")
+        calls = []
+        original = seqhorn.programs.canonicalize
+
+        def counting(rule):
+            calls.append(rule)
+            return original(rule)
+
+        monkeypatch.setattr(sys.modules["seqhorn.compose"], "canonicalize", counting)
+        monkeypatch.setattr(seqhorn.programs, "canonicalize", counting)
+        out = compose(left, right)
+        # 6 of the 9 assignments unify, giving p(a) three times, p(b) twice
+        # and p(X); the fact f(a) passes through as it is
+        assert len(calls) == 6
+        assert out == parse_program("p(a).\np(b).\np(X).\nf(a).")
+
+
 class TestGroundFastPath:
     def test_single_chain(self):
         assert compose_ground(

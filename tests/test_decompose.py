@@ -83,6 +83,27 @@ class TestVerify:
         cert = ReductionCertificate(r, PI, PI, r)
         assert verify(cert)
 
+    def test_shuffled_eight_atom_compositions(self):
+        # each composition has 8 same-shape g/2 body atoms (8! orderings);
+        # the target is an alpha-renamed copy with its body shuffled
+        base = parse_program("e(X, Y) :- f(X, Z), f(Z, Y).")
+        suffix = parse_program("f(X, Y) :- g(X, Y).")
+        rng = random.Random(8)
+        for _ in range(10):
+            vs = [f"X{i}" for i in range(5)]
+            edges = rng.sample([f"e({a}, {b})" for a in vs for b in vs], 4)
+            prefix = parse_program(f"h(X0, X1) :- {', '.join(edges)}.")
+            (rule,) = compose(compose(prefix, base), suffix)
+            assert len(rule.body) == 8
+            names = sorted({t.name for a in (rule.head, *rule.body) for t in a.args})
+            ren = dict(zip(names, (f"W{i}" for i in rng.sample(range(100), len(names)))))
+            body = [a.pred + "(" + ", ".join(ren[t.name] for t in a.args) + ")"
+                    for a in rule.body]
+            rng.shuffle(body)
+            head = "h(" + ", ".join(ren[t.name] for t in rule.head.args) + ")"
+            target = parse_program(f"{head} :- {', '.join(body)}.")
+            assert verify(ReductionCertificate(target, base, prefix, suffix))
+
     def test_wrong_suffix_diagnosed(self, plus, append, q_plus_append):
         bad = ReductionCertificate(append, plus, q_plus_append,
                                    parse_program("plus(X,Y,Z) :- plus(X,Y,Z)."))

@@ -1,14 +1,17 @@
 """Unification, substitution application and canonical forms."""
 
 import random
-from itertools import product
+from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import seqhorn.programs
 from seqhorn import (
     Atom,
+    CanonicalFormBudgetError,
     Compound,
     Const,
     Rule,
@@ -210,14 +213,106 @@ class TestCanonicalize:
         assert canonicalize(once) == once
 
     def test_large_same_shape_group_stays_idempotent(self):
-        # 9 atoms of one shape overflow the permutation budget and take the
-        # iterative path, which must still be a deterministic fixpoint
+        # 9 atoms of one shape have 9! body orderings; the search that
+        # branches only on ties must still reach a fixpoint
         names = [f"X{i}" for i in range(9)]
         body = [Atom("q", (Var(a), Var(b)))
                 for a, b in zip(names, names[1:] + names[:1])]
         rule = make_rule(Atom("p"), body)
         once = canonicalize(rule)
         assert canonicalize(once) == once
+
+    def test_matches_enumeration_beyond_seven_factorial(self):
+        # 8 atoms of one shape: all 8! = 40320 orderings enumerated
+        rng = random.Random(808)
+        vs = [Var(f"X{i}") for i in range(6)]
+        body = set()
+        while len(body) < 8:
+            body.add(Atom("e", (rng.choice(vs), rng.choice(vs))))
+        rule = make_rule(Atom("h", (vs[0],)), body)
+        assert canonicalize(rule) == _canonicalize_by_enumeration(rule, cap=None)
+
+    def test_alpha_variants_of_large_groups_coincide(self):
+        # 8-10 same-shape e(X,Y) atoms: beyond 7! orderings per group
+        rng = random.Random(2021)
+        for _ in range(200):
+            vs = [f"X{i}" for i in range(rng.randint(3, 8))]
+            body = [Atom("e", (Var(rng.choice(vs)), Var(rng.choice(vs))))
+                    for _ in range(rng.randint(8, 10))]
+            rule = make_rule(Atom("h", (Var(vs[0]), Var(vs[1]))), body)
+            variant = _renamed_shuffled(rule, rng)
+            assert canonicalize(variant) == canonicalize(rule)
+
+    @pytest.mark.parametrize("body,cap", [
+        ([(f"X{i}", f"Y{i}") for i in range(20)], 5_000),  # pairwise disjoint
+        ([(f"X{i}", f"X{(i + 1) % 40}") for i in range(40)], 7_000),  # one cycle
+        ([(f"A{i}_{j}", f"A{i}_{(j + 1) % 3}") for i in range(20) for j in range(3)],
+         20_000),
+        ([(f"K{i}_{a}", f"K{i}_{b}") for i in range(8)
+          for a in range(4) for b in range(4) if a != b], 100_000),
+    ], ids=["disjoint-20", "cycle-40", "triangles-20", "complete-4-8"])
+    def test_symmetric_worst_cases(self, body, cap, monkeypatch):
+        # Each cap is 1.5-5 times the work the search needs.  Pruning by
+        # swapping two atoms' fresh variables alone misses the cycle's
+        # rotations (9k work) and moves between components: m disjoint
+        # triangles or complete digraphs then leave 2^m sets to place.
+        monkeypatch.setattr(seqhorn.programs, "_CANON_WORK_CAP", cap)
+        rule = make_rule(Atom("p"), [Atom("e", (Var(x), Var(y))) for x, y in body])
+        once = canonicalize(rule)
+        assert canonicalize(once) == once
+        assert canonicalize(_renamed_shuffled(rule, random.Random(40))) == once
+
+    def test_work_cap_raises_resource_error(self, monkeypatch):
+        monkeypatch.setattr(seqhorn.programs, "_CANON_WORK_CAP", 5)
+        cycle = [Atom("e", (Var(f"X{i}"), Var(f"X{(i + 1) % 6}"))) for i in range(6)]
+        with pytest.raises(CanonicalFormBudgetError):
+            canonicalize(make_rule(Atom("p"), cycle))
+
+
+def _renamed_shuffled(rule: Rule, rng: random.Random) -> Rule:
+    """An alpha-variant of ``rule`` with fresh names and a shuffled body."""
+    from seqhorn.programs import rule_vars
+
+    names = sorted(rule_vars(rule))
+    fresh = rng.sample(range(1000), len(names))
+    ren = {n: Var(f"W{f}") for n, f in zip(names, fresh)}
+    body = [subst_atom(a, ren) for a in rule.body]
+    rng.shuffle(body)
+    return Rule(subst_atom(rule.head, ren), tuple(body))
+
+
+def _canonicalize_by_enumeration(rule: Rule, cap: int | None = 5040) -> Rule | None:
+    """The canonical form by brute force: every ordering of each same-shape
+    body group is renamed in first-occurrence order and the least
+    ``rule_key`` wins.  None when the orderings number more than ``cap``."""
+    from seqhorn.programs import rule_key
+    from seqhorn.terms import atom_key
+
+    def first_occurrence(t, seen):
+        if isinstance(t, Var):
+            seen.setdefault(t.name)
+        elif isinstance(t, Compound):
+            for arg in t.args:
+                first_occurrence(arg, seen)
+
+    groups: dict = {}
+    for a in sorted(set(rule.body), key=atom_key):
+        groups.setdefault(atom_key(a, named_vars=False), []).append(a)
+    groups = [groups[k] for k in sorted(groups)]
+    if cap is not None and prod(factorial(len(g)) for g in groups) > cap:
+        return None
+    best = None
+    for arrangement in product(*(permutations(g) for g in groups)):
+        body = tuple(a for g in arrangement for a in g)
+        seen: dict = {}
+        for a in (rule.head, *body):
+            for t in a.args:
+                first_occurrence(t, seen)
+        ren = {n: Var(f"v{i}") for i, n in enumerate(seen, start=1)}
+        cand = Rule(subst_atom(rule.head, ren), tuple(subst_atom(a, ren) for a in body))
+        if best is None or rule_key(cand) < rule_key(best):
+            best = cand
+    return best
 
 
 _term_strategy = st.deferred(
@@ -258,6 +353,26 @@ def test_canonicalize_alpha_invariant(rule, perm):
     renamed = apply({k: Var("tmp_" + v) for k, v in mapping.items()}, rule)
     renamed = apply({"tmp_" + v: Var(v) for v in mapping.values()}, renamed)
     assert canonicalize(renamed) == canonicalize(rule)
+
+
+_tied_atom_strategy = st.builds(
+    lambda pred, args: Atom(pred, tuple(args)),
+    st.sampled_from(["e", "p"]),
+    st.lists(st.one_of(st.sampled_from([Var(f"X{i}") for i in range(12)]),
+                       st.just(Const("k"))),
+             min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([Var(f"X{i}") for i in range(12)]), max_size=2),
+       st.lists(_tied_atom_strategy, max_size=8))
+def test_canonicalize_matches_enumeration(head_vars, body):
+    # same-shape groups of at most 7! orderings, where brute force is cheap
+    rule = make_rule(Atom("h", tuple(head_vars)), body)
+    want = _canonicalize_by_enumeration(rule)
+    assume(want is not None)
+    assert canonicalize(rule) == want
 
 
 @settings(max_examples=150, deadline=None)
