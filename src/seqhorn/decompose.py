@@ -162,6 +162,10 @@ def _prop_compose(rules: list[tuple[int, int]],
     return frozenset(out)
 
 
+class _BudgetExpired(Exception):
+    """Raised inside the assembly when the search's budget runs out."""
+
+
 class _Clock:
     def __init__(self, budget: float) -> None:
         self.start = time.monotonic()
@@ -185,6 +189,20 @@ def search_reduction(p: Program, r: Program,
     not-found, or a distinct budget-exceeded outcome.  ``exhaustive`` is
     only claimed for propositional inputs whose candidate spaces were not
     clipped by the bounds.
+
+    Leaks are tested incrementally.  A prefix rule ``q`` composed with the
+    base gives mid rules ``q o R``; each mid rule, composed with the suffix,
+    emits one body per choice of a suffix rule for each of its body atoms.
+    Emissions are monotone in both the prefix and the suffix, so a rule's
+    option is tested only on the bodies it emits with its own suffix, and a
+    step of the assembly only on the mid rules that step adds and on the
+    old ones whose body meets the head of a suffix rule it adds; everything
+    else was inside the target at the step before.  Each test stops at the
+    first body outside the target.  It gives the verdict of composing the
+    whole assembly, so the options, the order of the depth-first assembly
+    and the points where the budget is checked (once per target rule, per
+    base-head combination and per assembly node) are those of a full
+    recomposition.
     """
     if width_blocks(p, r):
         return SearchResult(NOT_FOUND, exhaustive=True)
@@ -203,7 +221,6 @@ def search_reduction(p: Program, r: Program,
 
     p_rules = [(index[rl.head], _mask(rl, index)) for rl in p.sorted_rules()]
     r_rules = [(index[rl.head], _mask(rl, index)) for rl in r.sorted_rules()]
-    p_set = frozenset(p_rules)
     by_head_r: dict[int, list[int]] = {}
     for h, m in r_rules:
         by_head_r.setdefault(h, []).append(m)
@@ -251,6 +268,11 @@ def search_reduction(p: Program, r: Program,
                                 seen.add(key)
                                 options.append(((h, beta_mask), frozenset()))
                         continue
+                    # With one suffix rule (c, w_c) per c in mid, the
+                    # candidate emits (h, union of w_c for c in m) for each
+                    # m <= mid in mids: (h, bmask) itself for m = mid, and
+                    # possible leaks for the smaller ones.
+                    inner = [m for m in mids if m & mid == m and m != mid]
                     for ws in product(allowed_w, repeat=len(mid_atoms)):
                         u = 0
                         for w in ws:
@@ -262,11 +284,11 @@ def search_reduction(p: Program, r: Program,
                         if key in seen:
                             continue
                         seen.add(key)
-                        emitted = _emissions((h, beta_mask), by_head_r, suffix)
-                        if (h, bmask) in emitted and all(
-                            eh == h and em in targets for eh, em in emitted
-                        ):
-                            options.append(((h, beta_mask), suffix))
+                        if inner:
+                            by_head_s = {c: (w,) for c, w in suffix}
+                            if any(_leaks(m, by_head_s, targets) for m in inner):
+                                continue
+                        options.append(((h, beta_mask), suffix))
                 if clock.expired():
                     return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
         if not options:
@@ -276,19 +298,29 @@ def search_reduction(p: Program, r: Program,
                                 elapsed=clock.elapsed)
         all_options.append(options)
 
-    # Combine one option per rule by depth-first assembly.  Leaking is
+    # Combine one option per rule by depth-first assembly.  Emissions are
     # monotone in both the prefix and the suffix (more rules only add
-    # emissions), so a partial assembly whose emissions already escape P
-    # prunes its whole subtree; a completed assembly that never leaked
-    # reproduces every rule by construction.
+    # emissions), so a partial assembly that already leaks outside P prunes
+    # its whole subtree, and a completed assembly that never leaked
+    # reproduces every rule by construction.  Every emission of a node is in
+    # P, so a trial below it tests only the mid rules of Q o R it adds and
+    # the old ones whose body meets the head of a suffix rule it adds; no
+    # other mid rule's emissions change.  The verdict is that of composing
+    # the whole trial assembly, so the nodes visited and the budget checks
+    # made are too.
     for opts in all_options:
         opts.sort(key=lambda o: (len(o[1]), o[0], tuple(sorted(o[1]))))
-    state = {"capped": False, "expired": False}
+    # q o R for each prefix rule tried, as (head, body) mid rules.
+    mid_rules: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
+    capped = False
 
-    def assemble(idx: int, q_rules: frozenset, s_rules: frozenset):
+    def assemble(idx: int, q_rules: frozenset, s_rules: frozenset,
+                 mids: frozenset, by_head_s: dict[int, tuple[int, ...]]):
+        # mids is the mid set of q_rules o R, by_head_s the suffix bodies of
+        # s_rules by head.
+        nonlocal capped
         if clock.expired():
-            state["expired"] = True
-            return None
+            raise _BudgetExpired
         if idx == len(all_options):
             return q_rules, s_rules
         for q_rule, suffix in all_options[idx]:
@@ -296,22 +328,33 @@ def search_reduction(p: Program, r: Program,
             ns = s_rules | suffix
             if (len(nq) > bounds.max_rules_prefix
                     or len(ns) > bounds.max_rules_suffix):
-                state["capped"] = True
+                capped = True
                 continue
-            by_head_s: dict[int, list[int]] = {}
-            for c, w in ns:
-                by_head_s.setdefault(c, []).append(w)
-            emitted = _prop_compose(_prop_compose(sorted(nq), by_head_r),
-                                    by_head_s)
-            if not emitted <= p_set:
+            q_mids = mid_rules.get(q_rule)
+            if q_mids is None:
+                q_mids = mid_rules[q_rule] = _prop_compose([q_rule], by_head_r)
+            new_mids = q_mids - mids
+            added = suffix - s_rules
+            nby = by_head_s
+            new_heads = 0
+            if added:
+                nby = dict(by_head_s)
+                for c, w in added:
+                    nby[c] = nby.get(c, ()) + (w,)
+                    new_heads |= 1 << c
+            if any(_leaks(m, nby, targets_by_head[g]) for g, m in new_mids):
                 continue
-            found = assemble(idx + 1, nq, ns)
-            if found is not None or state["expired"]:
+            if new_heads and any(_leaks(m, nby, targets_by_head[g])
+                                 for g, m in mids if m & new_heads):
+                continue
+            found = assemble(idx + 1, nq, ns, mids | new_mids, nby)
+            if found is not None:
                 return found
         return None
 
-    solution = assemble(0, frozenset(), frozenset())
-    if state["expired"]:
+    try:
+        solution = assemble(0, frozenset(), frozenset(), frozenset(), {})
+    except _BudgetExpired:
         return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
     if solution is not None:
         q_rules, s_rules = solution
@@ -324,7 +367,7 @@ def search_reduction(p: Program, r: Program,
         if verify(cert):
             return SearchResult(FOUND, cert, exhaustive=False,
                                 elapsed=clock.elapsed)
-    exhaustive = (not clipped and not state["capped"] and _is_propositional(p)
+    exhaustive = (not clipped and not capped and _is_propositional(p)
                   and _is_propositional(r))
     return SearchResult(NOT_FOUND, exhaustive=exhaustive, elapsed=clock.elapsed)
 
@@ -336,13 +379,36 @@ def _mask(rule: Rule, index: dict[Atom, int]) -> int:
     return m
 
 
-def _emissions(q_rule: tuple[int, int], by_head_r: dict[int, list[int]],
-               suffix: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    by_head_s: dict[int, list[int]] = {}
-    for c, w in suffix:
-        by_head_s.setdefault(c, []).append(w)
-    mid = _prop_compose([q_rule], by_head_r)
-    return _prop_compose(sorted(mid), by_head_s)
+def _leaks(mid: int, by_head_s: dict[int, tuple[int, ...]],
+           targets: set[int]) -> bool:
+    """True when the mid rule with body ``mid``, composed with the suffix
+    bodies ``by_head_s`` (indexed by head), emits a body outside
+    ``targets``, the target bodies of its head.  It emits nothing when a
+    body atom has no suffix rule.  The unions are walked depth first, one
+    suffix rule per body atom, and the walk stops at the first leak.  A
+    partial union reached twice at the same atom is walked once, so the
+    walk visits at most one state per atom and distinct partial union."""
+    lists = []
+    for c in _bits(mid):
+        ws = by_head_s.get(c)
+        if ws is None:
+            return False
+        lists.append(ws)
+    last = len(lists)
+    stack = [(0, 0)]
+    seen = set(stack)
+    while stack:
+        i, u = stack.pop()
+        if i == last:
+            if u not in targets:
+                return True
+            continue
+        for w in lists[i]:
+            state = (i + 1, u | w)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return False
 
 
 def _program_from_masks(rules, atoms: list[Atom]) -> Program:

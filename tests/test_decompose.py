@@ -15,6 +15,7 @@ from seqhorn import (
     certificate_to_text,
     compose,
     dual,
+    make_rule,
     parse_program,
     search_reduction,
     similar,
@@ -197,6 +198,115 @@ class TestSearchReduction:
         assert found == 60
 
 
+class _CountingClock:
+    """Stands in for ``seqhorn.decompose._Clock``: a budget of B allows B
+    budget checks, and ``checks`` counts them, so an outcome does not hang
+    on the machine's speed."""
+
+    instances: list = []
+
+    def __init__(self, budget: float) -> None:
+        self.checks = 0
+        self.limit = budget
+        _CountingClock.instances.append(self)
+
+    @property
+    def elapsed(self) -> float:
+        return float(self.checks)
+
+    def expired(self) -> bool:
+        self.checks += 1
+        return self.checks > self.limit
+
+
+def _pinned_pair(seed):
+    # Even seeds: two random 4-rule programs; odd seeds: a target planted
+    # as (Q o R) o S with at least two rules.
+    rng = random.Random(seed)
+    universe = tuple(Atom(c) for c in "abcdef"[:rng.choice((4, 5, 6))])
+
+    def prog(n):
+        return Program(make_rule(rng.choice(universe),
+                                 rng.sample(universe, rng.randint(0, 2)))
+                       for _ in range(n))
+
+    if seed % 2 == 0:
+        return prog(4), prog(4)
+    while True:
+        base = prog(3)
+        target = compose(compose(prog(2), base), prog(3))
+        if len(target) >= 2:
+            return target, base
+
+
+# (seed, status, exhaustive, budget checks, certificate from "% PREFIX" on)
+# under a budget of 200 checks.  The benchmark runs searches on a step clock
+# like _CountingClock, so these counts decide its verdicts.  Seeds 22 to 114
+# are here because a leak test that skips the old mid rules reached by a new
+# suffix rule gets them wrong.
+_PINNED_SEARCHES = [
+    (0, FOUND, False, 37, '% PREFIX\nc :- a.\nd.\ne.\n\n% SUFFIX\nb.\nc :- c.\nc :- d, e.\n'),
+    (1, FOUND, False, 21, '% PREFIX\na.\na :- a.\nd.\nd :- a.\n\n% SUFFIX\na :- a.\n'),
+    (2, FOUND, False, 43, '% PREFIX\na.\na :- d.\nc.\nc :- a.\n\n% SUFFIX\na.\nc :- b, d.\nd :- b.\n'),
+    (3, FOUND, False, 19, '% PREFIX\na.\nd.\n\n% SUFFIX\n'),
+    (4, NOT_FOUND, True, 164, None),
+    (5, FOUND, False, 11, '% PREFIX\nd.\nd :- b.\n\n% SUFFIX\nc :- d.\n'),
+    (6, FOUND, False, 37, '% PREFIX\na.\na :- a.\nb :- e.\nf :- a.\n\n% SUFFIX\na.\nb :- d, e.\nd :- c.\n'),
+    (7, FOUND, False, 19, '% PREFIX\na.\ne.\n\n% SUFFIX\n'),
+    (8, NOT_FOUND, True, 8, None),
+    (9, FOUND, False, 19, '% PREFIX\na.\nb.\n\n% SUFFIX\n'),
+    (10, FOUND, False, 69, '% PREFIX\na :- e.\nb :- e.\nc :- f.\ne.\n\n% SUFFIX\na :- a, b.\nc :- d.\n'),
+    (11, FOUND, False, 11, '% PREFIX\nd.\nd :- a.\n\n% SUFFIX\na :- c.\n'),
+    (12, NOT_FOUND, True, 37, None),
+    (13, FOUND, False, 19, '% PREFIX\nc.\ne.\n\n% SUFFIX\n'),
+    (14, NOT_FOUND, True, 2, None),
+    (15, FOUND, False, 11, '% PREFIX\nc.\nc :- c.\n\n% SUFFIX\nc :- b.\n'),
+    (22, FOUND, False, 46, '% PREFIX\na :- a.\nb.\nb :- d.\nd.\n\n% SUFFIX\na.\nb :- c.\nc :- a.\n'),
+    (54, BUDGET_EXCEEDED, False, 201, None),
+    (66, NOT_FOUND, True, 127, None),
+    (70, NOT_FOUND, True, 81, None),
+    (72, FOUND, False, 21, '% PREFIX\nb :- a.\nc.\nc :- c.\nd.\n\n% SUFFIX\na :- c.\nb :- b.\n'),
+    (114, BUDGET_EXCEEDED, False, 201, None),
+]
+
+
+class TestPinnedSearches:
+    @pytest.mark.parametrize("seed,status,exhaustive,checks,cert", _PINNED_SEARCHES,
+                             ids=[f"seed{c[0]}" for c in _PINNED_SEARCHES])
+    def test_outcome_and_budget_checks(self, monkeypatch, seed, status, exhaustive,
+                                       checks, cert):
+        import seqhorn.decompose
+
+        monkeypatch.setattr(seqhorn.decompose, "_Clock", _CountingClock)
+        monkeypatch.setattr(_CountingClock, "instances", [])
+        p, r = _pinned_pair(seed)
+        result = search_reduction(p, r, SearchBounds.exhaustive_for(p, r, time_budget=200))
+        assert (result.status, result.exhaustive) == (status, exhaustive)
+        (clock,) = _CountingClock.instances
+        assert clock.checks == checks
+        if cert is None:
+            assert result.certificate is None
+        else:
+            text = certificate_to_text(result.certificate)
+            assert text[text.index("% PREFIX"):] == cert
+            assert verify(result.certificate)
+
+    def test_all_outcomes_pinned(self):
+        outcomes = {(status, exhaustive) for _, status, exhaustive, _, _ in _PINNED_SEARCHES}
+        assert outcomes == {(FOUND, False), (NOT_FOUND, True), (BUDGET_EXCEEDED, False)}
+
+    def test_body_extension_counterexample_exhaustive(self):
+        # P against its body extension by I = {a, c}, a seed-702 sample of
+        # criterion 7b: no reduction exists, and the search must say so
+        # exhaustively.
+        p = parse_program("a :- b.\na :- d.\nb.\nc :- a, c.")
+        extended = compose(p, body_plus(atoms("a", "c"), atoms("a", "b", "c", "d")))
+        assert extended == parse_program("a :- a, b, c.\na :- a, c, d.\nb.\nc :- a, c.")
+        result = search_reduction(p, extended)
+        assert result.status == NOT_FOUND
+        assert result.exhaustive
+
+
 class TestMaskPipeline:
     def test_matches_ground_composer(self):
         # the search decides not-found from its bitmask composition, so it
@@ -232,6 +342,25 @@ class TestMaskPipeline:
             )
             assert rebuilt == compose_ground(p, r)
 
+    def test_leak_test_matches_composition(self):
+        # The search's leak test must agree with composing the mid rule
+        # with the suffix and comparing the bodies emitted with the targets.
+        from seqhorn.decompose import _leaks, _prop_compose
+
+        rng = random.Random(45)
+        verdicts = set()
+        for _ in range(2000):
+            mid = rng.randrange(64)
+            by_head = {}
+            for _ in range(rng.randint(0, 10)):
+                by_head.setdefault(rng.randrange(6), []).append(rng.randrange(16))
+            targets = {rng.randrange(16) for _ in range(rng.randint(0, 14))}
+            emitted = _prop_compose([(0, mid)], by_head)
+            want = any(body not in targets for _, body in emitted)
+            by_head_s = {c: tuple(ws) for c, ws in by_head.items()}
+            assert _leaks(mid, by_head_s, targets) == want
+            verdicts.add((want, bool(emitted)))
+        assert verdicts == {(True, True), (False, True), (False, False)}
 
 class TestSimilar:
     def test_body_edit_pair(self):
