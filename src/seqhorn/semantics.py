@@ -47,7 +47,10 @@ def tp(p: Program, i: Iterable[Atom]) -> frozenset[Atom]:
     rules whose body the interpretation satisfies."""
     if not p.is_ground:
         raise ValueError("tp requires a ground program")
-    iset = frozenset(i)
+    return _tp(p, frozenset(i))
+
+
+def _tp(p: Program, iset: frozenset[Atom]) -> frozenset[Atom]:
     return frozenset(r.head for r in p if set(r.body) <= iset)
 
 
@@ -58,7 +61,7 @@ def least_model(p: Program) -> frozenset[Atom]:
         raise ValueError("least_model requires a ground program")
     current: frozenset[Atom] = frozenset()
     for _ in range(len(head_of(p)) + 1):
-        nxt = tp(p, current)
+        nxt = _tp(p, current)
         if nxt == current:
             return current
         current = nxt

@@ -1,15 +1,24 @@
 """SLD resolution with leftmost selection, plus translated derivations.
 
-``sld`` is textbook SLD: depth-first search over rule choices in program
-order, leftmost goal selected, every rule renamed apart before use.  With
-``shortest=True`` the search runs iterative deepening and returns a
-minimal-length refutation instead of the first one in search order.
+One depth-first engine runs both kinds of derivation; they differ only in
+the phase schedule it follows.  Each macro step resolves the leftmost goal
+with a rule of the schedule's first program; every later stage then
+resolves, left to right, each goal the stage before it introduced, with a
+rule of its own program.  The engine keeps its choice points on an explicit
+stack, backtracks over rules in program order and renames every rule apart
+before use.  The depth limit counts macro steps and does not depend on
+Python's recursion limit.  With ``shortest=True`` the search runs iterative
+deepening and returns a refutation with the fewest macro steps instead of
+the first one in search order.
 
-``translated_sld`` answers a query of one program through another: each
-macro step resolves the selected goal with a prefix rule (phase Q), each
-atom that introduces with a base rule (phase R), and each atom those
-introduce with a suffix rule (phase S), backtracking across all three
-choice points.  One macro step realizes one application of a composed
+``sld`` is textbook SLD: the schedule is one phase (P) over one program.
+
+``translated_sld`` answers a query of one program through another with the
+schedule prefix (Q), base (R), suffix (S): each macro step resolves the
+selected goal with a prefix rule, each atom that introduces with a base
+rule, and each atom those introduce with a suffix rule, backtracking across
+all three choice points; a stage that introduces nothing ends the macro
+step early.  One macro step realizes one application of a composed
 (prefix o base) o suffix rule; to keep that exact, every stage's freshly
 introduced block of goals is deduplicated (rule bodies are sets).  When the
 decomposition identity holds for the query's native program, a refutation
@@ -18,7 +27,6 @@ here certifies the native consequence.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .programs import Program, Rule, rename_fresh
@@ -96,11 +104,6 @@ def resolve(q: Query, r: Rule):
     return Query(new_goals), theta
 
 
-def _ensure_stack_room() -> None:
-    if sys.getrecursionlimit() < 50_000:
-        sys.setrecursionlimit(50_000)
-
-
 def sld(p: Program, q: Query, depth_limit: int = DEFAULT_DEPTH_LIMIT,
         shortest: bool = False) -> Derivation:
     """First refutation by depth-first search, or an explicit non-success.
@@ -109,60 +112,7 @@ def sld(p: Program, q: Query, depth_limit: int = DEFAULT_DEPTH_LIMIT,
     ``failed`` (search space exhausted below the bound), or
     ``depth-exceeded`` (some branch hit the bound, so nothing is claimed).
     """
-    _ensure_stack_room()
-    pool = FreshVars(avoid=query_vars(q))
-
-    def dfs(goals: tuple[Atom, ...], depth_left: int):
-        if not goals:
-            return [], False
-        if depth_left == 0:
-            return None, True
-        exceeded = False
-        for rule in p:
-            variant = rename_fresh(rule, pool)
-            res = _resolve_at(goals, 0, variant)
-            if res is None:
-                continue
-            new_goals, theta = res
-            sub, ex = dfs(new_goals, depth_left - 1)
-            exceeded = exceeded or ex
-            if sub is not None:
-                step = DerivationStep(Query(goals), 0, "P", rule, variant,
-                                      theta, Query(new_goals))
-                return [step] + sub, exceeded
-        return None, exceeded
-
-    return _run_search(q, dfs, depth_limit, shortest)
-
-
-def _run_search(q: Query, dfs, depth_limit: int, shortest: bool) -> Derivation:
-    if shortest:
-        for bound in range(depth_limit + 1):
-            steps, exceeded = dfs(q.goals, bound)
-            if steps is not None:
-                return Derivation(q, steps, REFUTATION)
-            if not exceeded:
-                return Derivation(q, [], FAILED)
-        return Derivation(q, [], DEPTH_EXCEEDED)
-    steps, exceeded = dfs(q.goals, depth_limit)
-    if steps is not None:
-        return Derivation(q, steps, REFUTATION)
-    return Derivation(q, [], DEPTH_EXCEEDED if exceeded else FAILED)
-
-
-# ---------------------------------------------------------------------------
-# Translated derivations
-
-
-def _dedup_block(goals: tuple[Atom, ...], end: int) -> tuple[tuple[Atom, ...], int]:
-    block = goals[:end]
-    seen: set[Atom] = set()
-    uniq: list[Atom] = []
-    for a in block:
-        if a not in seen:
-            seen.add(a)
-            uniq.append(a)
-    return tuple(uniq) + goals[end:], len(uniq)
+    return _run_search(q, [(p, "P")], False, depth_limit, shortest)
 
 
 def translated_sld(prefix: Program, base: Program, suffix: Program, q: Query,
@@ -174,63 +124,85 @@ def translated_sld(prefix: Program, base: Program, suffix: Program, q: Query,
     was introduced).  Backtracks across all three choice points; the depth
     limit counts macro steps.
     """
-    _ensure_stack_room()
-    pool = FreshVars(avoid=query_vars(q))
+    schedule = [(prefix, "Q"), (base, "R"), (suffix, "S")]
+    return _run_search(q, schedule, True, depth_limit, shortest)
 
-    def stage(goals, pos, npending, prog, phase):
-        # Resolve `npending` consecutive goals starting at `pos`, left to
-        # right; yields (steps, goals', end-of-introduced-region).
-        if npending == 0:
-            yield [], goals, pos
-            return
-        for rule in prog:
+
+def _run_search(q: Query, schedule, dedup: bool, depth_limit: int,
+                shortest: bool) -> Derivation:
+    if depth_limit < 0:
+        raise ValueError(f"depth limit must be at least 0, not {depth_limit}")
+    pool = FreshVars(avoid=query_vars(q))
+    for bound in range(depth_limit + 1) if shortest else (depth_limit,):
+        steps, exceeded = _search(schedule, dedup, pool, q.goals, bound)
+        if steps is not None:
+            return Derivation(q, steps, REFUTATION)
+        if not exceeded:
+            return Derivation(q, [], FAILED)
+    return Derivation(q, [], DEPTH_EXCEEDED)
+
+
+def _dedup_block(goals: tuple[Atom, ...], end: int) -> tuple[tuple[Atom, ...], int]:
+    uniq = tuple(dict.fromkeys(goals[:end]))  # first occurrences, in order
+    return uniq + goals[end:], len(uniq)
+
+
+def _search(schedule, dedup: bool, pool: FreshVars, query: tuple[Atom, ...],
+            depth_limit: int):
+    """Depth-first search for a refutation of ``query`` within
+    ``depth_limit`` macro steps.  Returns (steps or None, whether some
+    branch hit the limit).
+
+    A macro step resolves the leftmost goal in the first stage; each later
+    stage resolves, left to right, the block of goals the stage before it
+    introduced.  With ``dedup`` set, each stage's block is deduplicated
+    when the stage ends.  A macro step ends after the last stage, or early
+    when a stage introduces no goals.
+    """
+    if not query:
+        return [], False
+    if depth_limit == 0:
+        return None, True
+    programs = [prog for prog, _ in schedule]
+    last = len(schedule) - 1
+    # A frame: goals, stage, position of the next goal to resolve, goals
+    # left in the stage, macro steps left, the stage's untried rules.
+    stack = [(query, 0, 0, 1, depth_limit, iter(programs[0]))]
+    path = []  # the resolution that led to each frame above the first
+    exceeded = False
+    while stack:
+        goals, stage, pos, left, depth, rules = stack[-1]
+        for rule in rules:
             variant = rename_fresh(rule, pool)
             res = _resolve_at(goals, pos, variant)
-            if res is None:
+            if res is not None:
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        new_goals, theta = res
+        step = (goals, pos, stage, rule, variant, theta, new_goals)
+        end = pos + len(variant.body)
+        if left > 1:
+            frame = (new_goals, stage, end, left - 1, depth, iter(programs[stage]))
+        else:
+            new_goals, n = _dedup_block(new_goals, end) if dedup else (new_goals, end)
+            if n and stage < last:
+                frame = (new_goals, stage + 1, 0, n, depth, iter(programs[stage + 1]))
+            elif not new_goals:
+                path.append(step)
+                return [DerivationStep(Query(g), i, schedule[s][1], r, v, th, Query(after))
+                        for g, i, s, r, v, th, after in path], exceeded
+            elif depth == 1:
+                exceeded = True
                 continue
-            g1, theta = res
-            step = DerivationStep(Query(goals), pos, phase, rule, variant,
-                                  theta, Query(g1))
-            m = len(variant.body)
-            for substeps, g2, end in stage(g1, pos + m, npending - 1, prog, phase):
-                yield [step] + substeps, g2, end
-
-    def macro_candidates(goals):
-        for q_rule in prefix:
-            variant = rename_fresh(q_rule, pool)
-            res = _resolve_at(goals, 0, variant)
-            if res is None:
-                continue
-            g1, theta = res
-            qstep = DerivationStep(Query(goals), 0, "Q", q_rule, variant,
-                                   theta, Query(g1))
-            g1, mq = _dedup_block(g1, len(variant.body))
-            if mq == 0:
-                yield [qstep], g1
-                continue
-            for rsteps, g2, rend in stage(g1, 0, mq, base, "R"):
-                g2, rend = _dedup_block(g2, rend)
-                if rend == 0:
-                    yield [qstep] + rsteps, g2
-                    continue
-                for ssteps, g3, send in stage(g2, 0, rend, suffix, "S"):
-                    g3, _ = _dedup_block(g3, send)
-                    yield [qstep] + rsteps + ssteps, g3
-
-    def mdfs(goals: tuple[Atom, ...], depth_left: int):
-        if not goals:
-            return [], False
-        if depth_left == 0:
-            return None, True
-        exceeded = False
-        for steps, new_goals in macro_candidates(goals):
-            sub, ex = mdfs(new_goals, depth_left - 1)
-            exceeded = exceeded or ex
-            if sub is not None:
-                return steps + sub, exceeded
-        return None, exceeded
-
-    return _run_search(q, mdfs, depth_limit, shortest)
+            else:
+                frame = (new_goals, 0, 0, 1, depth - 1, iter(programs[0]))
+        path.append(step)
+        stack.append(frame)
+    return None, exceeded
 
 
 def macro_step_count(d: Derivation) -> int:

@@ -214,21 +214,42 @@ def _display_var(name: str) -> str:
     return name[0].upper() + name[1:]
 
 
+def _is_cons(t: Term) -> bool:
+    return isinstance(t, Compound) and t.functor == CONS and len(t.args) == 2
+
+
 def term_to_text(t: Term) -> str:
-    if isinstance(t, Var):
-        return _display_var(t.name)
-    if isinstance(t, Const):
-        return t.name
-    if t.functor == CONS and len(t.args) == 2:
-        elems: list[str] = []
-        cur: Term = t
-        while isinstance(cur, Compound) and cur.functor == CONS and len(cur.args) == 2:
-            elems.append(term_to_text(cur.args[0]))
-            cur = cur.args[1]
-        if cur == NIL:
-            return "[" + ",".join(elems) + "]"
-        return "[" + ",".join(elems) + "|" + term_to_text(cur) + "]"
-    return t.functor + "(" + ",".join(term_to_text(a) for a in t.args) + ")"
+    # Pieces still to print, last first: literal strings and terms.  The
+    # stack replaces recursion, so terms of any depth print.
+    todo: list = [t]
+    out: list[str] = []
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(_display_var(t.name))
+        elif isinstance(t, Const):
+            out.append(t.name)
+        else:
+            if _is_cons(t):
+                elems: list[Term] = []
+                while _is_cons(t):
+                    elems.append(t.args[0])
+                    t = t.args[1]
+                close = ["]"] if t == NIL else ["|", t, "]"]
+                pieces = ["["] + _separated(elems) + close
+            else:
+                pieces = [t.functor + "("] + _separated(t.args) + [")"]
+            todo.extend(reversed(pieces))
+    return "".join(out)
+
+
+def _separated(terms) -> list:
+    pieces: list = []
+    for a in terms:
+        pieces += [",", a] if pieces else [a]
+    return pieces
 
 
 def atom_to_text(a: Atom) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from operator import is_
 from typing import Iterable, Iterator, Union
 
 
@@ -33,12 +34,62 @@ class Compound:
     functor: str
     args: "tuple[Term, ...]"
 
+    # Equality and hashing walk the term with an explicit stack, so they work
+    # at any depth.  The hash equals the one dataclass would generate; it is
+    # computed once per term and cached here.
+    _hash = None
+
     def __post_init__(self) -> None:
         if not self.args:
             raise ValueError("compound terms need at least one argument; use Const")
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Compound:
+            return NotImplemented
+        return _compounds_equal(self, other)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        return _cache_hashes(self) if h is None else h
+
 
 Term = Union[Var, Const, Compound]
+
+
+def _compounds_equal(x: Compound, y: Compound) -> bool:
+    pairs = []
+    while True:
+        if x.functor != y.functor or len(x.args) != len(y.args):
+            return False
+        for a, b in zip(x.args, y.args):
+            if a is b:
+                continue
+            if a.__class__ is Compound and b.__class__ is Compound:
+                pairs.append((a, b))
+            elif a != b:
+                return False
+        if not pairs:
+            return True
+        x, y = pairs.pop()
+
+
+def _cache_hashes(t: Compound) -> int:
+    # Cache the hash of every uncached compound subterm, children first, so
+    # that hashing a node only looks up its children's cached hashes.
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        height = len(stack)
+        for a in node.args:
+            if a.__class__ is Compound and a._hash is None:
+                stack.append(a)
+        if len(stack) == height:
+            stack.pop()
+            node.__dict__["_hash"] = hash((node.functor, node.args))
+    return t._hash
+
 
 Subst = dict[str, Term]
 
@@ -118,11 +169,36 @@ def atom_is_ground(a: Atom) -> bool:
 
 
 def subst_term(t: Term, s: Subst) -> Term:
+    """``t`` with every variable bound in ``s`` replaced by its value.
+
+    Subterms that ``s`` leaves unchanged are shared with ``t``, not copied.
+    The walk keeps its own stack, so terms of any depth work.
+    """
     if isinstance(t, Var):
         return s.get(t.name, t)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(subst_term(a, s) for a in t.args))
-    return t
+    if not s or not isinstance(t, Compound):
+        return t
+    stack = []  # (compound, index of its next argument, arguments done)
+    node, i, done = t, 0, []
+    while True:
+        args = node.args
+        while i < len(args):
+            a = args[i]
+            i += 1
+            if isinstance(a, Var):
+                done.append(s.get(a.name, a))
+            elif isinstance(a, Compound):
+                stack.append((node, i, done))
+                node, i, done, args = a, 0, [], a.args
+            else:
+                done.append(a)
+        if not all(map(is_, done, args)):
+            node = Compound(node.functor, tuple(done))
+        if not stack:
+            return node
+        parent, i, done = stack.pop()
+        done.append(node)
+        node = parent
 
 
 def subst_atom(a: Atom, s: Subst) -> Atom:
@@ -136,10 +212,14 @@ def subst_atom(a: Atom, s: Subst) -> Atom:
 
 
 def _occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, Compound):
-        return any(_occurs(name, a) for a in t.args)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            if t.name == name:
+                return True
+        elif isinstance(t, Compound):
+            todo.extend(t.args)
     return False
 
 
@@ -156,24 +236,30 @@ def _bind(v: Var, t: Term, s: Subst) -> Subst | None:
 
 
 def _unify_terms(x: Term, y: Term, s: Subst) -> Subst | None:
-    x = subst_term(x, s)
-    y = subst_term(y, s)
-    if x == y:
-        return s
-    if isinstance(x, Var):
-        return _bind(x, y, s)
-    if isinstance(y, Var):
-        return _bind(y, x, s)
-    if isinstance(x, Compound) and isinstance(y, Compound):
-        if x.functor != y.functor or len(x.args) != len(y.args):
+    # Pairs are unified depth first, left to right, each under the bindings
+    # made before it; the pending pairs are kept on a stack.  Since ``s`` is
+    # idempotent, one lookup resolves a variable, and a term is substituted
+    # in full only when a variable is bound to it.
+    pairs = [(x, y)]
+    while pairs:
+        x, y = pairs.pop()
+        if isinstance(x, Var):
+            x = s.get(x.name, x)
+        if isinstance(y, Var):
+            y = s.get(y.name, y)
+        if isinstance(x, Var):
+            s = _bind(x, subst_term(y, s), s)
+        elif isinstance(y, Var):
+            s = _bind(y, subst_term(x, s), s)
+        elif (isinstance(x, Compound) and isinstance(y, Compound)
+              and x.functor == y.functor and len(x.args) == len(y.args)):
+            if x is not y:
+                pairs.extend(reversed(tuple(zip(x.args, y.args))))
+        elif x != y:
             return None
-        for a, b in zip(x.args, y.args):
-            nxt = _unify_terms(a, b, s)
-            if nxt is None:
-                return None
-            s = nxt
-        return s
-    return None
+        if s is None:
+            return None
+    return s
 
 
 def unify(a: Atom, b: Atom, s: Subst | None = None) -> Subst | None:

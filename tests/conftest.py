@@ -19,18 +19,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 PACKAGE_ROOT = Path(seqhorn.__file__).resolve().parents[1]
 
 
-def run_seqhorn(*args, cwd=FIXTURES) -> subprocess.CompletedProcess:
+def run_seqhorn(*args, cwd=FIXTURES, env=None) -> subprocess.CompletedProcess:
     """Run ``python -m seqhorn *args`` in a child process from ``cwd``.
 
     The child imports the same ``seqhorn`` as this process, whatever
     ``cwd`` is: its ``PYTHONPATH`` starts with the package's absolute root,
-    followed by this process's own entries made absolute.
+    followed by this process's own entries made absolute.  ``env`` adds or
+    overrides other environment variables of the child.
     """
     paths = [str(PACKAGE_ROOT)]
     for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep):
         if entry:
             paths.append(os.path.abspath(entry))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(paths))
     return subprocess.run(
         [sys.executable, "-m", "seqhorn", *args],
         capture_output=True,
@@ -38,6 +39,18 @@ def run_seqhorn(*args, cwd=FIXTURES) -> subprocess.CompletedProcess:
         cwd=cwd,
         env=env,
     )
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_unchanged():
+    """No library call may change interpreter-global state such as the
+    recursion limit.  A changed limit is put back, so that every test that
+    changes it fails, not only the first."""
+    before = sys.getrecursionlimit()
+    yield
+    after = sys.getrecursionlimit()
+    sys.setrecursionlimit(before)
+    assert after == before, f"the recursion limit changed from {before} to {after}"
 
 
 PROP_ATOMS = tuple(Atom(name) for name in "abcd")

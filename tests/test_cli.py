@@ -80,6 +80,26 @@ class TestSld:
         assert out.stdout.splitlines()[0] == "? nat(s(0))"
         assert out.stdout.splitlines()[-1].endswith("□")
 
+    def test_depth_beyond_python_stack(self, tmp_path):
+        loop = write(tmp_path, "a.lp", "a :- a.\n")
+        out = run_cli("sld", loop, "?- a.", "--depth", "60000")
+        assert out.returncode == 1
+        assert out.stdout == "depth-exceeded\n"
+
+    def test_growing_terms_at_default_depth(self, tmp_path):
+        loop = write(tmp_path, "loop.lp", "loop(X) :- loop(s(X)).\n")
+        out = run_cli("sld", loop, "?- loop(0).")
+        assert out.returncode == 1
+        assert out.stdout == "depth-exceeded\n"
+        out = run_cli("xsld", "--prefix", loop, "--base", loop, "--suffix", loop, "?- loop(0).")
+        assert out.returncode == 1
+        assert out.stdout == "depth-exceeded\n"
+
+    def test_negative_depth_exit_two(self):
+        out = run_cli("sld", "nat.lp", "?- nat(0).", "--depth", "-1")
+        assert out.returncode == 2
+        assert "depth limit" in out.stderr
+
 
 class TestXsld:
     def test_golden_trace(self):
@@ -221,9 +241,15 @@ class TestErrors:
 
 
 class TestDeterminism:
-    def test_identical_runs_identical_stdout(self):
-        args = ("compose", "q_plus_append.lp", "plus.lp")
-        first = run_cli(*args)
-        second = run_cli(*args)
+    @pytest.mark.parametrize("args", [
+        ("compose", "q_plus_append.lp", "plus.lp"),
+        ("sld", "member.lp", "?- member(X,[a,b,c]), member(X,[c,b]).", "--trace"),
+        ("xsld", "--prefix", "q_member_append.lp", "--base", "append.lp",
+         "--suffix", "s_member_append.lp", "?- member(X,[a,b]), member(X,[b]).", "--trace"),
+    ], ids=["compose", "sld", "xsld"])
+    def test_identical_runs_identical_stdout(self, args):
+        # different hash seeds, so that no output follows set iteration order
+        first = run_cli(*args, env={"PYTHONHASHSEED": "1"})
+        second = run_cli(*args, env={"PYTHONHASHSEED": "2"})
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0

@@ -82,6 +82,16 @@ class TestLeastModel:
     def test_self_loop_is_empty(self):
         assert least_model(parse_program("a :- a.")) == frozenset()
 
+    def test_groundness_checked_once(self, monkeypatch):
+        # a 20-rule chain takes 21 rounds; only the first pays a scan
+        p = parse_program("a0.\n" + "".join(f"a{i + 1} :- a{i}.\n" for i in range(20)))
+        checks = []
+        is_ground = Program.is_ground.fget
+        monkeypatch.setattr(Program, "is_ground",
+                            property(lambda self: checks.append(1) or is_ground(self)))
+        assert least_model(p) == atoms(*(f"a{i}" for i in range(21)))
+        assert len(checks) == 1
+
     def test_minimality_by_exhaustive_model_search(self):
         rng = random.Random(22)
         for _ in range(120):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from seqhorn import (
+    Program,
     Query,
     ReductionCertificate,
     compose,
@@ -21,6 +22,7 @@ from seqhorn import (
     verify,
 )
 from seqhorn.sld import DEPTH_EXCEEDED, FAILED, REFUTATION, macro_step_count
+from seqhorn.syntax import goals_to_text, rule_to_text
 from seqhorn.terms import atom_key, subst_atom, unify
 from conftest import (
     FIXTURES,
@@ -103,6 +105,105 @@ class TestSld:
             for atom in random_interpretation(rng):
                 d = sld(p, Query((atom,)), depth_limit=40, shortest=True)
                 assert (d.outcome == REFUTATION) == (atom in lm)
+
+
+class TestDepthLimit:
+    def test_depth_beyond_python_stack(self):
+        p, q = parse_program("a :- a."), parse_query("?- a.")
+        assert sld(p, q, depth_limit=200_000).outcome == DEPTH_EXCEEDED
+        assert translated_sld(p, p, p, q, depth_limit=200_000).outcome == DEPTH_EXCEEDED
+
+    def test_growing_terms_beyond_python_stack(self, nat):
+        # every step nests a goal's argument one level deeper, so the terms
+        # outgrow Python's default recursion limit long before the bound
+        loop, q = parse_program("loop(X) :- loop(s(X))."), parse_query("?- loop(0).")
+        assert sld(loop, q, depth_limit=1000).outcome == DEPTH_EXCEEDED
+        assert translated_sld(loop, loop, loop, q, depth_limit=1000).outcome == DEPTH_EXCEEDED
+        d = sld(nat, parse_query("?- nat(X), p(X)."), depth_limit=1000)
+        assert d.outcome == DEPTH_EXCEEDED
+
+    def test_deep_refutation_trace(self):
+        # exp(N, Y) makes Y the numeral 2^N: 11 exp steps and 2^k + 1 twice
+        # steps for each k < 10, on terms up to 2^9 levels deep
+        p = parse_program("""
+            twice(0, 0).
+            twice(s(X), s(s(Y))) :- twice(X, Y).
+            exp(0, s(0)).
+            exp(s(N), Y) :- exp(N, X), twice(X, Y).
+        """)
+        ten = "s(" * 10 + "0" + ")" * 10
+        d = sld(p, parse_query(f"?- exp({ten}, Y)."), depth_limit=2000)
+        assert d.outcome == REFUTATION and len(d.steps) == 11 + 1023 + 10
+        assert "twice(" + "s(" * 512 + "0" + ")" * 512 + "," in render_derivation(d)
+
+    def test_zero_depth(self, nat):
+        assert sld(nat, Query()).outcome == REFUTATION
+        assert sld(nat, Query(), depth_limit=0).outcome == REFUTATION
+        assert sld(nat, parse_query("?- nat(0)."), depth_limit=0).outcome == DEPTH_EXCEEDED
+        assert sld(nat, parse_query("?- nat(0)."), depth_limit=1).outcome == REFUTATION
+
+    def test_negative_depth_rejected(self, nat):
+        q = parse_query("?- nat(0).")
+        with pytest.raises(ValueError):
+            sld(nat, q, depth_limit=-1)
+        with pytest.raises(ValueError):
+            translated_sld(nat, nat, nat, q, depth_limit=-1, shortest=True)
+
+
+# Plain derivations on append.lp plus member.lp whose fresh variable names
+# record every rename in order: those of failed branches and of earlier
+# iterative-deepening passes included.  Each step is (variant, resolvent).
+_PINNED_TRACES = {
+    ("?- append(X,Y,[a,b]), member(b,Y).", False): [
+        ("append([],_G1,_G1).", "member(b,[a,b])"),
+        ("member(_G10,[_G11|_G12]) :- member(_G10,_G12).", "member(b,[b])"),
+        ("member(_G19,[_G19|_G20]).", ""),
+    ],
+    ("?- append(X,Y,[a,b]), member(b,Y).", True): [
+        ("append([],_G45,_G45).", "member(b,[a,b])"),
+        ("member(_G54,[_G55|_G56]) :- member(_G54,_G56).", "member(b,[b])"),
+        ("member(_G63,[_G63|_G64]).", ""),
+    ],
+    ("?- append(X,Y,[a,b,c]), member(a,X).", False): [
+        ("append([_G13|_G14],_G15,[_G16|_G17]) :- append(_G14,_G15,_G17).",
+         "append(_G14,_G15,[b,c]), member(a,[_G13|_G14])"),
+        ("append([],_G18,_G18).", "member(a,[_G13])"),
+        ("member(_G25,[_G25|_G26]).", ""),
+    ],
+    ("?- append(X,Y,[a,b,c]), member(a,X).", True): [
+        ("append([_G57|_G58],_G59,[_G60|_G61]) :- append(_G58,_G59,_G61).",
+         "append(_G58,_G59,[b,c]), member(a,[_G57|_G58])"),
+        ("append([],_G62,_G62).", "member(a,[_G57])"),
+        ("member(_G69,[_G69|_G70]).", ""),
+    ],
+    ("?- member(X,[a,b,c]), append(P,[X],[a,b]).", False): [
+        ("member(_G42,[_G43|_G44]) :- member(_G42,_G44).",
+         "member(_G42,[b,c]), append(P,[_G42],[a,b])"),
+        ("member(_G51,[_G51|_G52]).", "append(P,[b],[a,b])"),
+        ("append([_G54|_G55],_G56,[_G57|_G58]) :- append(_G55,_G56,_G58).",
+         "append(_G55,[b],[b])"),
+        ("append([],_G59,_G59).", ""),
+    ],
+    ("?- member(X,[a,b,c]), append(P,[X],[a,b]).", True): [
+        ("member(_G152,[_G153|_G154]) :- member(_G152,_G154).",
+         "member(_G152,[b,c]), append(P,[_G152],[a,b])"),
+        ("member(_G161,[_G161|_G162]).", "append(P,[b],[a,b])"),
+        ("append([_G164|_G165],_G166,[_G167|_G168]) :- append(_G165,_G166,_G168).",
+         "append(_G165,[b],[b])"),
+        ("append([],_G169,_G169).", ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("query, shortest", list(_PINNED_TRACES),
+                         ids=[f"query{i // 2}-{'shortest' if s else 'first'}"
+                              for i, (_, s) in enumerate(_PINNED_TRACES)])
+def test_pinned_trace(append, member, query, shortest):
+    p = Program(list(append) + list(member))
+    d = sld(p, parse_query(query), shortest=shortest)
+    assert d.outcome == REFUTATION
+    steps = [(rule_to_text(s.variant), goals_to_text(s.query_after.goals)) for s in d.steps]
+    assert steps == _PINNED_TRACES[query, shortest]
 
 
 class TestTranslatedSld:
@@ -198,6 +299,24 @@ class TestTranslatedSld:
                 assert (native.outcome == REFUTATION) == (routed.outcome == REFUTATION)
                 if native.outcome == REFUTATION:
                     assert len(native.steps) == macro_step_count(routed)
+
+    def test_depth_counts_macro_steps(self, plus, q_plus_append, s_plus_append):
+        # the golden refutation: five steps in two macro steps
+        query = parse_query("?- append([a],[b,c],[a,b,c]).")
+        d = translated_sld(q_plus_append, plus, s_plus_append, query, depth_limit=2)
+        assert d.outcome == REFUTATION and len(d.steps) == 5
+        d = translated_sld(q_plus_append, plus, s_plus_append, query, depth_limit=1)
+        assert d.outcome == DEPTH_EXCEEDED
+
+    def test_resolvent_shown_before_deduplication(self):
+        prefix = parse_program("p(X,Y) :- m(X), m(Y).")
+        base = parse_program("m(X) :- n(X).")
+        suffix = parse_program("n(a).")
+        d = translated_sld(prefix, base, suffix, parse_query("?- p(a,a)."))
+        assert d.outcome == REFUTATION
+        shown = [(s.phase, goals_to_text(s.query_before.goals), goals_to_text(s.query_after.goals))
+                 for s in d.steps]
+        assert shown == [("Q", "p(a,a)", "m(a), m(a)"), ("R", "m(a)", "n(a)"), ("S", "n(a)", "")]
 
     def test_trace_well_formedness(self, plus, q_plus_append, s_plus_append):
         query = parse_query("?- append([a],[b,c],[a,b,c]).")

@@ -24,6 +24,7 @@ from seqhorn import (
     unify,
     unify_pairs,
 )
+from seqhorn.syntax import term_to_text
 from seqhorn.terms import FreshVars, atom_is_ground, subst_atom, subst_term
 
 
@@ -382,6 +383,38 @@ def test_unify_produces_idempotent_unifier(a, b):
     if theta is not None:
         assert subst_atom(a, theta) == subst_atom(b, theta)
         assert subst_atom(subst_atom(a, theta), theta) == subst_atom(a, theta)
+
+
+class TestDeepTerms:
+    # 100,000 levels: every operation must work without recursion
+    N = 100_000
+
+    def chain(self, leaf):
+        for _ in range(self.N):
+            leaf = Compound("s", (leaf,))
+        return leaf
+
+    def test_equality_and_hash(self):
+        x, y = self.chain(Const("0")), self.chain(Const("0"))
+        assert x == y and hash(x) == hash(y)
+        assert x != self.chain(Const("1"))
+
+    def test_substitution_and_unification(self):
+        x, y = self.chain(Var("X")), self.chain(Const("0"))
+        assert unify(Atom("p", (x,)), Atom("p", (y,))) == {"X": Const("0")}
+        assert subst_term(x, {"X": Const("0")}) == y
+        assert unify(Atom("p", (Var("X"),)), Atom("p", (x,))) is None  # occurs check
+
+    def test_printing(self):
+        assert term_to_text(self.chain(Const("0"))) == "s(" * self.N + "0" + ")" * self.N
+
+
+def test_subst_term_shares_unchanged_subterms():
+    ground = Compound("g", (Const("a"),))
+    t = Compound("f", (ground, Var("X")))
+    out = subst_term(t, {"X": Const("b")})
+    assert out == Compound("f", (ground, Const("b"))) and out.args[0] is ground
+    assert subst_term(t, {"Y": Const("b")}) is t
 
 
 def test_compound_requires_args():
