@@ -5,28 +5,21 @@ head of a freshly renamed rule of R, simultaneously, and emits the
 instantiated rule.  Facts pass through unchanged.  The result is the
 canonical, deduplicated set of all rules obtained this way, so composition
 respects program equality up to alpha-renaming.
-
-``compose_ground`` is the unification-free fast path for ground programs,
-implemented by indexing the right program's rules by head atom.  It agrees
-with ``compose`` on all ground inputs.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from .programs import Program, Rule, canonicalize, make_rule, rename_fresh, rule_key
-from .terms import FreshVars, subst_atom, unify_pairs
+from .terms import FreshVars, subst_atom, unify, unify_pairs
 
 DEFAULT_ASSIGNMENT_CAP = 10**6
 
 
 class CompositionBudgetError(Exception):
-    """Raised when a single rule's body-to-rule assignment count exceeds the cap.
-
-    The operator is exponential in body size (|R| ** sz(r) assignments per
-    rule), so a visible resource error beats an open-ended hang.
-    """
+    """Composing one rule tried more candidates than the cap.  A try unifies
+    a body atom with a candidate head; tries grow exponentially in body size.
+    The cap does not bound one try's work: unification copies the substitution
+    at each binding, so a long body of deeply nested bindings can still be slow."""
 
 
 def compose(p: Program, r: Program, *,
@@ -37,57 +30,63 @@ def compose(p: Program, r: Program, *,
     rules of R is tried; each selected occurrence gets an independent fresh
     variant, even when the same rule is chosen twice.  The simultaneous mgu
     of body atoms against the variants' heads instantiates the emitted rule
-    head(r) <- union of the variants' bodies.  An empty result is valid.
+    head(r) <- union of the variants' bodies; the result may be empty.
+    ``max_assignments`` caps the candidate tries for one rule, one for
+    each forced atom.
     """
+    by_head: dict[tuple[str, int], list[Rule]] = {}
+    for c in r:
+        by_head.setdefault((c.head.pred, len(c.head.args)), []).append(c)
     out: list[Rule] = []
-    rules_r = r.rules
     for rule in p:
         if rule.is_fact:
             out.append(rule)
             continue
-        k = rule.size
-        if rules_r and len(rules_r) ** k > max_assignments:
-            raise CompositionBudgetError(
-                f"{len(rules_r)}^{k} assignments for one rule exceeds the cap "
-                f"of {max_assignments}"
-            )
+        body = rule.body
+        candidates = [by_head.get((b.pred, len(b.args))) for b in body]
+        if not all(candidates):
+            continue
         pool = FreshVars()
-        for choice in product(rules_r, repeat=k):
-            variants = [rename_fresh(c, pool) for c in choice]
-            theta = unify_pairs(zip(rule.body, (v.head for v in variants)))
-            if theta is None:
+        variants = [[rename_fresh(c, pool) for c in cs] for cs in candidates]
+        # Atoms with one candidate are forced and unified at once; the others
+        # go left to right with backtracking.  thetas[d] unifies the forced
+        # atoms and the first d branching ones, or is None once they clash or
+        # branch[d] has nothing left; picks[d] is the next try at branch[d].
+        branch = [i for i, vs in enumerate(variants) if len(vs) > 1]
+        tries = len(body) - len(branch)
+        thetas = [unify_pairs((b, vs[0].head) for b, vs in zip(body, variants) if len(vs) == 1)]
+        picks = [0]
+        while picks:
+            if tries > max_assignments:
+                raise CompositionBudgetError(
+                    f"over {max_assignments} candidate tries for one rule")
+            d = len(picks) - 1
+            theta = thetas[d]
+            if theta is not None and d < len(branch):
+                i, j = branch[d], picks[d]
+                picks[d] = j + 1
+                tries += 1
+                if j + 1 == len(variants[i]):
+                    thetas[d] = None
+                theta = unify(body[i], variants[i][j].head, theta)
+                if theta is not None:
+                    thetas.append(theta)
+                    picks.append(0)
                 continue
-            # head(S theta) = body(r theta) holds pairwise by construction.
-            new_head = subst_atom(rule.head, theta)
-            new_body = [subst_atom(b, theta) for v in variants for b in v.body]
-            out.append(canonicalize(make_rule(new_head, new_body)))
+            if theta is not None:
+                # head(S theta) = body(r theta) holds pairwise by construction.
+                chosen = dict(zip(branch, (k - 1 for k in picks)))
+                new_body = [subst_atom(b, theta) for i, vs in enumerate(variants)
+                            for b in vs[chosen.get(i, 0)].body]
+                out.append(canonicalize(make_rule(subst_atom(rule.head, theta), new_body)))
+            picks.pop()
+            thetas.pop()
     return Program._of_canonical(sorted(set(out), key=rule_key))
 
 
 def compose_ground(p: Program, r: Program, *,
                    max_assignments: int = DEFAULT_ASSIGNMENT_CAP) -> Program:
-    """Ground composition via head indexing; no unification involved."""
+    """``compose`` on ground programs; raises ValueError on any other."""
     if not p.is_ground or not r.is_ground:
         raise ValueError("compose_ground requires ground programs")
-    by_head: dict = {}
-    for rule in r:
-        by_head.setdefault(rule.head, []).append(rule)
-    out: list[Rule] = []
-    for rule in p:
-        if rule.is_fact:
-            out.append(rule)
-            continue
-        candidate_lists = [by_head.get(b) for b in rule.body]
-        if any(c is None for c in candidate_lists):
-            continue
-        n = 1
-        for c in candidate_lists:
-            n *= len(c)
-        if n > max_assignments:
-            raise CompositionBudgetError(
-                f"{n} assignments for one rule exceeds the cap of {max_assignments}"
-            )
-        for combo in product(*candidate_lists):
-            body = [a for c in combo for a in c.body]
-            out.append(make_rule(rule.head, body))
-    return Program(sorted(set(out), key=rule_key))
+    return compose(p, r, max_assignments=max_assignments)

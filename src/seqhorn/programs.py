@@ -30,7 +30,6 @@ from .terms import (
     atom_var_order,
     atom_vars,
     subst_atom,
-    subst_term,
     term_key,
 )
 
@@ -73,15 +72,6 @@ def rule_is_ground(r: Rule) -> bool:
 
 def subst_rule(r: Rule, s: Subst) -> Rule:
     return make_rule(subst_atom(r.head, s), (subst_atom(a, s) for a in r.body))
-
-
-def apply(s: Subst, x):
-    """Homomorphic substitution application on a Term, Atom or Rule."""
-    if isinstance(x, Rule):
-        return subst_rule(x, s)
-    if isinstance(x, Atom):
-        return subst_atom(x, s)
-    return subst_term(x, s)
 
 
 def rename_fresh(r: Rule, pool: FreshVars) -> Rule:

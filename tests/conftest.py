@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -11,9 +12,12 @@ from pathlib import Path
 import pytest
 
 import seqhorn
-from seqhorn import Atom, Const, Program, Var, make_rule, parse_program
+from seqhorn import Atom, Const, Program, Var, make_rule, parse_program, program_to_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# The benchmark's independent implementation of the operators.
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 
 # The directory holding the ``seqhorn`` package this test run imported.
 PACKAGE_ROOT = Path(seqhorn.__file__).resolve().parents[1]
@@ -137,3 +141,27 @@ def random_fo_program(rng: random.Random, max_rules: int = 4, max_body: int = 2,
         body = [random_fo_atom(rng, ground) for _ in range(rng.randint(0, max_body))]
         rules.append(make_rule(head, body))
     return Program(rules)
+
+
+# ---------------------------------------------------------------------------
+# Differential checks against the independent reference
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """``perfbench/reference.py``, loaded by path.  It implements the
+    operators on its own term representation and imports nothing from
+    seqhorn; programs cross over as text."""
+    spec = importlib.util.spec_from_file_location("seqhorn_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_reference_compose(reference, composed: Program, p: Program, r: Program) -> None:
+    """``composed`` is the reference's P o R up to alpha-renaming of each rule."""
+    want = reference.compose(reference.parse_rules(program_to_text(p)),
+                             reference.parse_rules(program_to_text(r)))
+    got = reference.parse_rules(program_to_text(composed))
+    assert reference.programs_alpha_equal(got, want), (
+        f"P:\n{program_to_text(p)}R:\n{program_to_text(r)}")

@@ -204,15 +204,14 @@ class TestErrors:
         assert out.returncode == 2
 
     def test_resource_cap_exit_three(self, tmp_path):
-        body = ", ".join(f"p{i}" for i in range(8))
-        rules = [f"a :- {body}."]
-        for i in range(8):
-            for j in range(8):
-                rules.append(f"p{i} :- q{j}.")
-        left = write(tmp_path, "l.lp", "\n".join(rules) + "\n")
+        # Each of p0..p6 has 8 candidates, so 8^7 partial assignments reach
+        # p7(b), and each tries 8 clashing candidates: far over the cap of
+        # 10^6 tries, though no assignment is ever complete.
+        body = ", ".join(f"p{i}" for i in range(7))
+        left = write(tmp_path, "l.lp", f"a :- {body}, p7(b).\n")
         right = write(tmp_path, "r.lp",
-                      "\n".join(f"p{i}." for i in range(8)) + "\n"
-                      + "\n".join(f"q{i}." for i in range(8)) + "\n")
+                      "".join(f"p{i} :- q{j}.\n" for i in range(7) for j in range(8))
+                      + "".join(f"p7(c{j}).\n" for j in range(8)))
         out = run_cli("compose", left, right)
         assert out.returncode == 3
         assert "resource cap" in out.stderr

@@ -18,6 +18,7 @@ from seqhorn import (
 )
 from conftest import (
     PROP_ATOMS,
+    assert_reference_compose,
     random_fo_program,
     random_interpretation,
     random_prop_program,
@@ -147,24 +148,27 @@ class TestCanonicalizeOnce:
 
 
 class TestGroundFastPath:
+    """``compose_ground`` on ground programs, checked against the reference's
+    general composer."""
+
     def test_single_chain(self):
         assert compose_ground(
             parse_program("a :- b."), parse_program("b :- c, d.")
         ) == parse_program("a :- c, d.")
 
-    def test_matches_general_composer(self):
+    def test_matches_general_composer(self, reference):
         rng = random.Random(16)
         for _ in range(1000):
             p = random_prop_program(rng)
             r = random_prop_program(rng)
-            assert compose_ground(p, r) == compose(p, r)
+            assert_reference_compose(reference, compose_ground(p, r), p, r)
 
-    def test_matches_on_structured_ground(self):
+    def test_matches_on_structured_ground(self, reference):
         rng = random.Random(17)
         for _ in range(200):
             p = random_fo_program(rng, ground=True)
             r = random_fo_program(rng, ground=True)
-            assert compose_ground(p, r) == compose(p, r)
+            assert_reference_compose(reference, compose_ground(p, r), p, r)
 
     def test_rejects_nonground(self):
         with pytest.raises(ValueError):
@@ -177,6 +181,35 @@ class TestResourceGuard:
         r = parse_program("b.\nc.\nb :- c.\nc :- b.")
         with pytest.raises(CompositionBudgetError):
             compose(p, r, max_assignments=3)
+
+    @pytest.mark.parametrize("left, right, tries", [
+        # p(a) clashes with both q facts; p(b) tries both and keeps q(b)
+        ("h :- p(X), q(X).", "p(a).\np(b).\nq(b).\nq(c).", 6),
+        # q(b) has one candidate and clashes with it, so no p is tried
+        ("h :- p(X), p(Y), q(b).", "".join(f"p(c{i}).\n" for i in range(30)) + "q(a).", 1),
+        # one candidate for each of 500 body atoms
+        ("a :- " + ", ".join(f"p{i}" for i in range(500)) + ".",
+         "".join(f"p{i}.\n" for i in range(500)), 500),
+    ], ids=["two-clashes", "forced-clash", "wide-500"])
+    def test_cap_counts_candidate_tries(self, left, right, tries):
+        p, r = parse_program(left), parse_program(right)
+        assert compose(p, r, max_assignments=tries) == compose(p, r)
+        with pytest.raises(CompositionBudgetError):
+            compose(p, r, max_assignments=tries - 1)
+
+    @pytest.mark.parametrize("unrelated", [30, 40])
+    def test_unrelated_rules_cost_nothing(self, unrelated):
+        # |R|^4 total assignments (2.8 million at 40 unrelated facts), but
+        # only one candidate per body atom
+        p = parse_program("h :- p(X), p(Y), p(Z), p(W).")
+        r = parse_program("".join(f"q{i}(c{i}).\n" for i in range(unrelated)) + "p(a).")
+        assert compose(p, r, max_assignments=4) == parse_program("h.")
+
+    def test_wide_body_is_not_recursive(self):
+        n = 2000
+        p = parse_program("a(X) :- " + ", ".join(f"p{i}(X)" for i in range(n)) + ".")
+        r = parse_program("".join(f"p{i}(Y) :- q(Y).\n" for i in range(n)))
+        assert compose(p, r) == parse_program("a(X) :- q(X).")
 
     def test_tp_simulation(self):
         rng = random.Random(18)

@@ -16,7 +16,6 @@ from seqhorn import (
     Const,
     Rule,
     Var,
-    apply,
     canonicalize,
     make_rule,
     parse_program,
@@ -25,6 +24,7 @@ from seqhorn import (
     unify_pairs,
 )
 from seqhorn.syntax import term_to_text
+from seqhorn.programs import subst_rule
 from seqhorn.terms import FreshVars, atom_is_ground, subst_atom, subst_term
 
 
@@ -159,19 +159,29 @@ def _names(a):
     return atom_vars(a)
 
 
-class TestApply:
+class TestSubstitution:
     def test_simple(self):
         a = _raw_atom("p(X,Y)")
-        assert apply({"X": Const("a")}, a) == _raw_atom("p(a,Y)")
+        assert subst_atom(a, {"X": Const("a")}) == _raw_atom("p(a,Y)")
 
     def test_empty_identity(self):
         r = make_rule(_raw_atom("p(X)"), [_raw_atom("q(X)")])
-        assert apply({}, r) == r
+        assert subst_rule(r, {}) == r
 
     def test_structural(self):
         a = _raw_atom("nat(s(X))")
-        out = apply({"X": Compound("s", (Var("Y"),))}, a)
+        out = subst_atom(a, {"X": Compound("s", (Var("Y"),))})
         assert out == _raw_atom("nat(s(s(Y)))")
+
+    def test_term(self):
+        t = Compound("s", (Var("X"),))
+        assert subst_term(t, {"X": Const("0")}) == Compound("s", (Const("0"),))
+        assert subst_term(Var("Y"), {"X": Const("0")}) == Var("Y")
+
+    def test_rule_resorts_body(self):
+        r = make_rule(_raw_atom("p(X)"), [_raw_atom("q(X)"), _raw_atom("q(b)")])
+        out = subst_rule(r, {"X": Const("a")})
+        assert out == make_rule(_raw_atom("p(a)"), [_raw_atom("q(a)"), _raw_atom("q(b)")])
 
 
 class TestRenameFresh:
@@ -351,8 +361,8 @@ def test_canonicalize_idempotent(rule):
 @given(_rule_strategy, st.permutations(["X", "Y", "Z"]))
 def test_canonicalize_alpha_invariant(rule, perm):
     mapping = dict(zip(["X", "Y", "Z"], perm))
-    renamed = apply({k: Var("tmp_" + v) for k, v in mapping.items()}, rule)
-    renamed = apply({"tmp_" + v: Var(v) for v in mapping.values()}, renamed)
+    renamed = subst_rule(rule, {k: Var("tmp_" + v) for k, v in mapping.items()})
+    renamed = subst_rule(renamed, {"tmp_" + v: Var(v) for v in mapping.values()})
     assert canonicalize(renamed) == canonicalize(rule)
 
 
