@@ -94,9 +94,13 @@ def width_blocks(p: Program, r: Program) -> bool:
 class SearchBounds:
     atom_universe: frozenset[Atom]
     max_body: int
-    max_rules_prefix: int = 10_000
-    max_rules_suffix: int = 10_000
     time_budget: float = 60.0
+
+    def __post_init__(self) -> None:
+        if self.max_body < 0:
+            raise ValueError(f"max_body must be non-negative, got {self.max_body}")
+        if not self.time_budget >= 0:  # also rejects NaN, which never expires
+            raise ValueError(f"time budget must be non-negative, got {self.time_budget}")
 
     @staticmethod
     def exhaustive_for(p: Program, r: Program,
@@ -118,10 +122,6 @@ class SearchResult:
         return self.status == FOUND
 
 
-def _is_propositional(p: Program) -> bool:
-    return all(not a.args for a in program_atoms(p))
-
-
 def _bits(mask: int):
     i = 0
     while mask:
@@ -129,41 +129,6 @@ def _bits(mask: int):
             yield i
         mask >>= 1
         i += 1
-
-
-def _submasks(mask: int):
-    # all submasks of mask, including 0, ascending
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return sorted(out)
-
-
-def _prop_compose(rules: list[tuple[int, int]],
-                  by_head: dict[int, list[int]]) -> frozenset[tuple[int, int]]:
-    # Exact ground composition in bitmask space.
-    out: set[tuple[int, int]] = set()
-    for h, mask in rules:
-        if mask == 0:
-            out.add((h, 0))
-            continue
-        lists = [by_head.get(c) for c in _bits(mask)]
-        if any(l is None for l in lists):
-            continue
-        unions = {0}
-        for l in lists:
-            unions = {u | w for u in unions for w in l}
-        for u in unions:
-            out.add((h, u))
-    return frozenset(out)
-
-
-class _BudgetExpired(Exception):
-    """Raised inside the assembly when the search's budget runs out."""
 
 
 class _Clock:
@@ -187,22 +152,24 @@ def search_reduction(p: Program, r: Program,
     Returns the first verified certificate in a deterministic enumeration
     order (small prefixes and suffixes first), a definitive or bounded
     not-found, or a distinct budget-exceeded outcome.  ``exhaustive`` is
-    only claimed for propositional inputs whose candidate spaces were not
-    clipped by the bounds.
+    only claimed for propositional inputs whose candidate spaces the bounds
+    do not clip: every base head fits in a prefix body, and the target
+    bodies the verdict rests on (the one with no option, or all of them)
+    lie in the atom universe and fit in a suffix body.
 
     Leaks are tested incrementally.  A prefix rule ``q`` composed with the
-    base gives mid rules ``q o R``; each mid rule, composed with the suffix,
-    emits one body per choice of a suffix rule for each of its body atoms.
-    Emissions are monotone in both the prefix and the suffix, so a rule's
-    option is tested only on the bodies it emits with its own suffix, and a
-    step of the assembly only on the mid rules that step adds and on the
-    old ones whose body meets the head of a suffix rule it adds; everything
-    else was inside the target at the step before.  Each test stops at the
-    first body outside the target.  It gives the verdict of composing the
-    whole assembly, so the options, the order of the depth-first assembly
-    and the points where the budget is checked (once per target rule, per
-    base-head combination and per assembly node) are those of a full
-    recomposition.
+    base gives mid rules ``q o R``, built once, by the option loop; each mid
+    rule, composed with the suffix, emits one body per choice of a suffix
+    rule for each of its body atoms.  Emissions are monotone in both the
+    prefix and the suffix, so a rule's option is tested only on the bodies
+    it emits with its own suffix, and a step of the assembly only on the
+    mid rules that step adds and on the old ones whose body meets the head
+    of a suffix rule it adds; everything else was inside the target at the
+    step before.  Each test stops at the first body outside the target.  It
+    gives the verdict of composing the whole assembly, so the options, the
+    order of the depth-first assembly and the points where the budget is
+    checked (once per combination of base heads, the empty one included,
+    and once per assembly node entered) are those of a full recomposition.
     """
     if width_blocks(p, r):
         return SearchResult(NOT_FOUND, exhaustive=True)
@@ -212,66 +179,53 @@ def search_reduction(p: Program, r: Program,
         bounds = SearchBounds.exhaustive_for(p, r)
     clock = _Clock(bounds.time_budget)
 
-    atoms = sorted(program_atoms(p) | program_atoms(r) | bounds.atom_universe,
-                   key=atom_key)
+    pr_atoms = program_atoms(p) | program_atoms(r)
+    atoms = sorted(pr_atoms | bounds.atom_universe, key=atom_key)
     index = {a: i for i, a in enumerate(atoms)}
     universe_mask = 0
     for a in bounds.atom_universe:
         universe_mask |= 1 << index[a]
 
     p_rules = [(index[rl.head], _mask(rl, index)) for rl in p.sorted_rules()]
-    r_rules = [(index[rl.head], _mask(rl, index)) for rl in r.sorted_rules()]
     by_head_r: dict[int, list[int]] = {}
-    for h, m in r_rules:
-        by_head_r.setdefault(h, []).append(m)
-    for masks in by_head_r.values():
-        masks.sort()
+    for rl in r.sorted_rules():
+        by_head_r.setdefault(index[rl.head], []).append(_mask(rl, index))
     targets_by_head: dict[int, set[int]] = {}
     for h, m in p_rules:
         targets_by_head.setdefault(h, set()).add(m)
-
-    clipped = False
     r_heads = sorted(by_head_r)
-    if bounds.max_body < len(r_heads):
-        clipped = True
+    exhaustive = bounds.max_body >= len(r_heads) and all(not a.args for a in pr_atoms)
+    clipped = {bmask for _, bmask in p_rules
+               if bmask & ~universe_mask or bmask.bit_count() > bounds.max_body}
 
     # Per-rule options: (prefix_rule, frozenset of suffix rules) pairs that
-    # can reproduce the rule and leak nothing with this head.
+    # can reproduce the rule and leak nothing with this head, in the order
+    # the assembly tries them.  mid_bodies holds the bodies of q o R for each
+    # prefix rule q of an option.
     all_options: list[list[tuple[tuple[int, int], frozenset[tuple[int, int]]]]] = []
+    mid_bodies: dict[tuple[int, int], set[int]] = {}
     for h, bmask in p_rules:
-        if clock.expired():
-            return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
         targets = targets_by_head[h]
         options: list[tuple[tuple[int, int], frozenset[tuple[int, int]]]] = []
-        seen: set = set()
-        if bmask == 0:
-            options.append(((h, 0), frozenset()))
-            seen.add((0, frozenset()))
-        if bmask & ~universe_mask:
-            clipped = True
-        allowed_w = [w for w in _submasks(bmask & universe_mask)
-                     if bin(w).count("1") <= bounds.max_body]
-        for size in range(1, bounds.max_body + 1):
+        in_universe = list(_bits(bmask & universe_mask))
+        allowed_w = [sum(1 << c for c in ws)
+                     for size in range(min(bounds.max_body, len(in_universe)) + 1)
+                     for ws in combinations(in_universe, size)]
+        # The empty beta gives the fact option (h, 0) of a fact h.
+        for size in range(min(bounds.max_body, len(r_heads)) + 1):
             for beta in combinations(r_heads, size):
-                beta_mask = 0
-                for b in beta:
-                    beta_mask |= 1 << b
+                beta_mask = sum(1 << b for b in beta)
                 mids = {0}
                 for b in beta:
                     mids = {u | w for u in mids for w in by_head_r[b]}
-                for mid in sorted(mids):
+                n_options = len(options)
+                for mid in mids:
                     mid_atoms = list(_bits(mid))
-                    if mid == 0:
-                        if bmask == 0:
-                            key = (beta_mask, frozenset())
-                            if key not in seen:
-                                seen.add(key)
-                                options.append(((h, beta_mask), frozenset()))
-                        continue
                     # With one suffix rule (c, w_c) per c in mid, the
                     # candidate emits (h, union of w_c for c in m) for each
                     # m <= mid in mids: (h, bmask) itself for m = mid, and
-                    # possible leaks for the smaller ones.
+                    # possible leaks for the smaller ones.  A mid of 0 is a
+                    # fact: an option, with no suffix rule, when h is one.
                     inner = [m for m in mids if m & mid == m and m != mid]
                     for ws in product(allowed_w, repeat=len(mid_atoms)):
                         u = 0
@@ -280,84 +234,55 @@ def search_reduction(p: Program, r: Program,
                         if u != bmask:
                             continue
                         suffix = frozenset(zip(mid_atoms, ws))
-                        key = (beta_mask, suffix)
-                        if key in seen:
-                            continue
-                        seen.add(key)
                         if inner:
                             by_head_s = {c: (w,) for c, w in suffix}
                             if any(_leaks(m, by_head_s, targets) for m in inner):
                                 continue
                         options.append(((h, beta_mask), suffix))
+                if len(options) > n_options:
+                    mid_bodies[h, beta_mask] = mids
                 if clock.expired():
                     return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
         if not options:
-            exhaustive = (not clipped and _is_propositional(p)
-                          and _is_propositional(r))
-            return SearchResult(NOT_FOUND, exhaustive=exhaustive,
+            return SearchResult(NOT_FOUND, exhaustive=exhaustive and bmask not in clipped,
                                 elapsed=clock.elapsed)
+        # The key is unique per option, so the order does not depend on the
+        # order the options were generated in.
+        options.sort(key=lambda o: (len(o[1]), o[0], tuple(sorted(o[1]))))
         all_options.append(options)
 
-    # Combine one option per rule by depth-first assembly.  Emissions are
+    # Combine one option per rule by depth-first assembly, on an explicit
+    # stack of (node, untried options).  A node is (prefix rules, suffix
+    # rules, mid rules of prefix o R, suffix bodies by head).  Emissions are
     # monotone in both the prefix and the suffix (more rules only add
     # emissions), so a partial assembly that already leaks outside P prunes
     # its whole subtree, and a completed assembly that never leaked
     # reproduces every rule by construction.  Every emission of a node is in
-    # P, so a trial below it tests only the mid rules of Q o R it adds and
-    # the old ones whose body meets the head of a suffix rule it adds; no
-    # other mid rule's emissions change.  The verdict is that of composing
-    # the whole trial assembly, so the nodes visited and the budget checks
-    # made are too.
-    for opts in all_options:
-        opts.sort(key=lambda o: (len(o[1]), o[0], tuple(sorted(o[1]))))
-    # q o R for each prefix rule tried, as (head, body) mid rules.
+    # P, so _extend tests only the mid rules a child adds and the old ones
+    # whose body meets the head of a suffix rule it adds.  The verdict is
+    # that of composing the whole trial assembly, so the nodes visited and
+    # the budget checks made (one per node entered) are too.
     mid_rules: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    capped = False
-
-    def assemble(idx: int, q_rules: frozenset, s_rules: frozenset,
-                 mids: frozenset, by_head_s: dict[int, tuple[int, ...]]):
-        # mids is the mid set of q_rules o R, by_head_s the suffix bodies of
-        # s_rules by head.
-        nonlocal capped
+    node = (frozenset(), frozenset(), frozenset(), {})
+    stack = []
+    while node is not None:
         if clock.expired():
-            raise _BudgetExpired
-        if idx == len(all_options):
-            return q_rules, s_rules
-        for q_rule, suffix in all_options[idx]:
-            nq = q_rules | {q_rule}
-            ns = s_rules | suffix
-            if (len(nq) > bounds.max_rules_prefix
-                    or len(ns) > bounds.max_rules_suffix):
-                capped = True
-                continue
-            q_mids = mid_rules.get(q_rule)
-            if q_mids is None:
-                q_mids = mid_rules[q_rule] = _prop_compose([q_rule], by_head_r)
-            new_mids = q_mids - mids
-            added = suffix - s_rules
-            nby = by_head_s
-            new_heads = 0
-            if added:
-                nby = dict(by_head_s)
-                for c, w in added:
-                    nby[c] = nby.get(c, ()) + (w,)
-                    new_heads |= 1 << c
-            if any(_leaks(m, nby, targets_by_head[g]) for g, m in new_mids):
-                continue
-            if new_heads and any(_leaks(m, nby, targets_by_head[g])
-                                 for g, m in mids if m & new_heads):
-                continue
-            found = assemble(idx + 1, nq, ns, mids | new_mids, nby)
-            if found is not None:
-                return found
-        return None
-
-    try:
-        solution = assemble(0, frozenset(), frozenset(), frozenset(), {})
-    except _BudgetExpired:
-        return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
-    if solution is not None:
-        q_rules, s_rules = solution
+            return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
+        if len(stack) == len(all_options):
+            break
+        stack.append((node, iter(all_options[len(stack)])))
+        node = None
+        # the next child that does not leak, backtracking past exhausted nodes
+        while node is None and stack:
+            parent, untried = stack[-1]
+            for option in untried:
+                node = _extend(parent, option, mid_bodies, mid_rules, targets_by_head)
+                if node is not None:
+                    break
+            else:
+                stack.pop()
+    if node is not None:
+        q_rules, s_rules, _, _ = node
         cert = ReductionCertificate(
             target=p,
             base=r,
@@ -367,9 +292,34 @@ def search_reduction(p: Program, r: Program,
         if verify(cert):
             return SearchResult(FOUND, cert, exhaustive=False,
                                 elapsed=clock.elapsed)
-    exhaustive = (not clipped and not capped and _is_propositional(p)
-                  and _is_propositional(r))
-    return SearchResult(NOT_FOUND, exhaustive=exhaustive, elapsed=clock.elapsed)
+    return SearchResult(NOT_FOUND, exhaustive=exhaustive and not clipped,
+                        elapsed=clock.elapsed)
+
+
+def _extend(node, option, mid_bodies, mid_rules, targets_by_head):
+    """The assembly ``node`` with ``option`` added, or None when that leaks
+    a body outside the target.  ``mid_rules`` caches each prefix rule's mid
+    bodies from ``mid_bodies`` as (head, body) pairs, made on first use."""
+    q_rules, s_rules, mids, by_head_s = node
+    q_rule, suffix = option
+    q_mids = mid_rules.get(q_rule)
+    if q_mids is None:
+        q_mids = mid_rules[q_rule] = frozenset((q_rule[0], m) for m in mid_bodies[q_rule])
+    new_mids = q_mids - mids
+    added = suffix - s_rules
+    nby = by_head_s
+    new_heads = 0
+    if added:
+        nby = dict(by_head_s)
+        for c, w in added:
+            nby[c] = nby.get(c, ()) + (w,)
+            new_heads |= 1 << c
+    if any(_leaks(m, nby, targets_by_head[g]) for g, m in new_mids):
+        return None
+    if new_heads and any(_leaks(m, nby, targets_by_head[g])
+                         for g, m in mids if m & new_heads):
+        return None
+    return q_rules | {q_rule}, s_rules | suffix, mids | new_mids, nby
 
 
 def _mask(rule: Rule, index: dict[Atom, int]) -> int:
@@ -396,7 +346,7 @@ def _leaks(mid: int, by_head_s: dict[int, tuple[int, ...]],
         lists.append(ws)
     last = len(lists)
     stack = [(0, 0)]
-    seen = set(stack)
+    visited = set(stack)
     while stack:
         i, u = stack.pop()
         if i == last:
@@ -405,8 +355,8 @@ def _leaks(mid: int, by_head_s: dict[int, tuple[int, ...]],
             continue
         for w in lists[i]:
             state = (i + 1, u | w)
-            if state not in seen:
-                seen.add(state)
+            if state not in visited:
+                visited.add(state)
                 stack.append(state)
     return False
 

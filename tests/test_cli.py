@@ -182,6 +182,37 @@ class TestSearchAndSimilar:
         assert out.returncode == 1
         assert out.stdout == "R<P\n"
 
+    def test_max_body_clip_not_exhaustive(self, tmp_path):
+        # at --max-body 1 no suffix body holds the 3 target atoms; without
+        # the bound, a :- b. and c :- x, y, z. reduce the target
+        target = write(tmp_path, "t.lp", "a :- x, y, z.\n")
+        base = write(tmp_path, "b.lp", "b :- c.\n")
+        out = run_cli("search", "--target", target, "--base", base, "--max-body", "1")
+        assert out.returncode == 1
+        assert out.stdout == "not found (within bounds)\n"
+        out = run_cli("similar", target, base, "--max-body", "1")
+        assert out.returncode == 1
+        assert out.stdout == "incomparable-within-bounds\n"
+
+    def test_large_fact_target(self, tmp_path):
+        target = write(tmp_path, "t.lp", "".join(f"a{i}.\n" for i in range(1200)))
+        base = write(tmp_path, "b.lp", "b :- c.\n")
+        out = run_cli("search", "--target", target, "--base", base)
+        assert out.returncode == 0
+        assert "% PREFIX\na0.\n" in out.stdout
+
+    @pytest.mark.parametrize("command", ["search", "similar"])
+    @pytest.mark.parametrize("bound", [("--max-body", "-1"), ("--budget", "-1"),
+                                       ("--budget", "nan")],
+                             ids=["negative-max-body", "negative-budget", "nan-budget"])
+    def test_invalid_bounds_exit_two(self, tmp_path, command, bound):
+        left = write(tmp_path, "l.lp", "a.\nb :- a.\n")
+        right = write(tmp_path, "r.lp", "a.\nb :- a, b.\n")
+        files = ["--target", left, "--base", right] if command == "search" else [left, right]
+        out = run_cli(command, *files, *bound)
+        assert out.returncode == 2
+        assert out.stdout == "" and "Traceback" not in out.stderr
+
 
 class TestErrors:
     def test_parse_error_exit_two(self, tmp_path):
@@ -245,7 +276,9 @@ class TestDeterminism:
         ("sld", "member.lp", "?- member(X,[a,b,c]), member(X,[c,b]).", "--trace"),
         ("xsld", "--prefix", "q_member_append.lp", "--base", "append.lp",
          "--suffix", "s_member_append.lp", "?- member(X,[a,b]), member(X,[b]).", "--trace"),
-    ], ids=["compose", "sld", "xsld"])
+        ("search", "--target", "ground_target.lp", "--base", "ground_base.lp"),
+        ("similar", "ground_target.lp", "ground_base.lp"),
+    ], ids=["compose", "sld", "xsld", "search", "similar"])
     def test_identical_runs_identical_stdout(self, args):
         # different hash seeds, so that no output follows set iteration order
         first = run_cli(*args, env={"PYTHONHASHSEED": "1"})

@@ -174,6 +174,42 @@ class TestSearchReduction:
         result = search_reduction(p, r, bounds)
         assert result.status == BUDGET_EXCEEDED
 
+    def test_max_body_clips_target_body(self):
+        # A suffix body holds at most max_body atoms, so at max_body 1 the
+        # 3-atom target body is out of reach: not found, but not
+        # exhaustively, because without the bound a reduction exists.
+        p = parse_program("a :- x, y, z.")
+        r = parse_program("b :- c.")
+        assert search_reduction(p, r).status == FOUND
+        universe = SearchBounds.exhaustive_for(p, r).atom_universe
+        result = search_reduction(p, r, SearchBounds(universe, max_body=1))
+        assert (result.status, result.exhaustive) == (NOT_FOUND, False)
+
+    def test_max_body_clips_assembly(self):
+        # Every rule has an option at max_body 2, but no assembly of them
+        # works; the reduction found without the bound needs the suffix
+        # rule c :- a, c, d.
+        p = parse_program("a :- b.\na :- a, c, d.")
+        r = parse_program("a :- a, c.\na :- b, c.")
+        assert search_reduction(p, r).status == FOUND
+        universe = SearchBounds.exhaustive_for(p, r).atom_universe
+        result = search_reduction(p, r, SearchBounds(universe, max_body=2))
+        assert (result.status, result.exhaustive) == (NOT_FOUND, False)
+
+    def test_large_fact_target(self):
+        # one assembly node per target rule, 1200 deep
+        p = Program(make_rule(Atom(f"a{i}"), ()) for i in range(1200))
+        result = search_reduction(p, parse_program("b :- c."))
+        assert result.status == FOUND
+        assert result.certificate.prefix == p
+        assert result.certificate.suffix == Program()
+
+    @pytest.mark.parametrize("max_body,time_budget", [(-1, 1.0), (1, -1.0), (1, float("nan"))],
+                             ids=["negative-max-body", "negative-budget", "nan-budget"])
+    def test_invalid_bounds_rejected(self, max_body, time_budget):
+        with pytest.raises(ValueError):
+            SearchBounds(atoms("a"), max_body=max_body, time_budget=time_budget)
+
     def test_determinism(self):
         first = search_reduction(P_SWAP, PI)
         second = search_reduction(P_SWAP, PI)
@@ -308,44 +344,17 @@ class TestPinnedSearches:
 
 
 class TestMaskPipeline:
-    def test_matches_ground_composer(self):
-        # the search decides not-found from its bitmask composition, so it
-        # must agree with the real ground composer everywhere
-        import random as _random
-
-        from seqhorn import compose_ground, make_rule
-        from seqhorn.decompose import _bits, _prop_compose
-        from seqhorn.programs import program_atoms
-        from seqhorn.terms import atom_key
-
-        rng = _random.Random(44)
-        for _ in range(300):
-            p = random_prop_program(rng)
-            r = random_prop_program(rng)
-            universe = sorted(program_atoms(p) | program_atoms(r), key=atom_key)
-            index = {a: i for i, a in enumerate(universe)}
-
-            def mask(rule):
-                m = 0
-                for a in rule.body:
-                    m |= 1 << index[a]
-                return m
-
-            left = [(index[rl.head], mask(rl)) for rl in p]
-            by_head = {}
-            for rl in r:
-                by_head.setdefault(index[rl.head], []).append(mask(rl))
-            got = _prop_compose(left, by_head)
-            rebuilt = Program(
-                make_rule(universe[h], (universe[c] for c in _bits(m)))
-                for h, m in got
-            )
-            assert rebuilt == compose_ground(p, r)
-
     def test_leak_test_matches_composition(self):
-        # The search's leak test must agree with composing the mid rule
-        # with the suffix and comparing the bodies emitted with the targets.
-        from seqhorn.decompose import _leaks, _prop_compose
+        # The search's leak test must agree with composing the mid rule with
+        # the suffix, as the ground programs its masks stand for, and
+        # comparing the bodies emitted with the targets.
+        from seqhorn.decompose import _bits, _leaks
+
+        def body(mask):
+            return [Atom(f"x{c}") for c in _bits(mask)]
+
+        def mask(rule):
+            return sum(1 << int(a.pred[1:]) for a in rule.body)
 
         rng = random.Random(45)
         verdicts = set()
@@ -355,12 +364,15 @@ class TestMaskPipeline:
             for _ in range(rng.randint(0, 10)):
                 by_head.setdefault(rng.randrange(6), []).append(rng.randrange(16))
             targets = {rng.randrange(16) for _ in range(rng.randint(0, 14))}
-            emitted = _prop_compose([(0, mid)], by_head)
-            want = any(body not in targets for _, body in emitted)
+            suffix = Program(make_rule(Atom(f"x{c}"), body(w))
+                             for c, ws in by_head.items() for w in ws)
+            emitted = compose(Program([make_rule(Atom("h"), body(mid))]), suffix)
+            want = any(mask(rule) not in targets for rule in emitted)
             by_head_s = {c: tuple(ws) for c, ws in by_head.items()}
             assert _leaks(mid, by_head_s, targets) == want
             verdicts.add((want, bool(emitted)))
         assert verdicts == {(True, True), (False, True), (False, False)}
+
 
 class TestSimilar:
     def test_body_edit_pair(self):
@@ -388,6 +400,15 @@ class TestSimilar:
     def test_left_below(self):
         result = similar(parse_program("a :- b.\nb :- b."), PI)
         assert result.outcome == LEFT_BELOW
+
+    def test_max_body_clip_not_strict(self):
+        # Forward, the 3-atom body is out of reach at max_body 1, but not
+        # definitively, so the found backward direction gives no R<P.
+        p = parse_program("a :- x, y, z.")
+        r = parse_program("b :- c.")
+        assert similar(p, r).outcome == SIMILAR
+        universe = SearchBounds.exhaustive_for(p, r).atom_universe
+        assert similar(p, r, SearchBounds(universe, max_body=1)).outcome == INCOMPARABLE
 
     def test_incomparable_under_tight_bounds(self):
         p = parse_program("a :- b, c.\nd :- b.")
