@@ -138,18 +138,10 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _bounds_for(p: Program, r: Program, args) -> SearchBounds:
-    base = SearchBounds.exhaustive_for(p, r, time_budget=args.budget)
-    if args.max_body is not None:
-        base = SearchBounds(base.atom_universe, args.max_body,
-                            time_budget=args.budget)
-    return base
-
-
 def _cmd_search(args) -> int:
     target = _load(args.target)
     base = _load(args.base)
-    result = search_reduction(target, base, _bounds_for(target, base, args))
+    result = search_reduction(target, base, SearchBounds(args.max_body, args.budget))
     if result.status == FOUND:
         sys.stdout.write(certificate_to_text(result.certificate))
         return 0
@@ -164,7 +156,7 @@ def _cmd_search(args) -> int:
 def _cmd_similar(args) -> int:
     left = _load(args.left)
     right = _load(args.right)
-    result = similar(left, right, _bounds_for(left, right, args))
+    result = similar(left, right, SearchBounds(args.max_body, args.budget))
     print(result.outcome)
     if result.forward.status == BUDGET_EXCEEDED or result.backward.status == BUDGET_EXCEEDED:
         return 3

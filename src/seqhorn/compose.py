@@ -12,18 +12,18 @@ from __future__ import annotations
 from .programs import Program, Rule, canonicalize, make_rule, rename_fresh, rule_key
 from .terms import FreshVars, subst_atom, unify, unify_pairs
 
-DEFAULT_ASSIGNMENT_CAP = 10**6
+_ASSIGNMENT_CAP = 10**6  # candidate tries one rule's composition may make
 
 
 class CompositionBudgetError(Exception):
-    """Composing one rule tried more candidates than the cap.  A try unifies
-    a body atom with a candidate head; tries grow exponentially in body size.
-    The cap does not bound one try's work: unification copies the substitution
-    at each binding, so a long body of deeply nested bindings can still be slow."""
+    """Composing one rule tried more candidates than ``_ASSIGNMENT_CAP``.
+    A try unifies a body atom with a candidate head; tries grow
+    exponentially in body size.  The cap does not bound one try's work:
+    unification copies the substitution at each binding, so a long body of
+    deeply nested bindings can still be slow."""
 
 
-def compose(p: Program, r: Program, *,
-            max_assignments: int = DEFAULT_ASSIGNMENT_CAP) -> Program:
+def compose(p: Program, r: Program) -> Program:
     """Sequential composition P o R.
 
     For each proper rule of P, every total mapping from its body atoms to
@@ -31,7 +31,7 @@ def compose(p: Program, r: Program, *,
     variant, even when the same rule is chosen twice.  The simultaneous mgu
     of body atoms against the variants' heads instantiates the emitted rule
     head(r) <- union of the variants' bodies; the result may be empty.
-    ``max_assignments`` caps the candidate tries for one rule, one for
+    ``_ASSIGNMENT_CAP`` caps the candidate tries for one rule, one for
     each forced atom.
     """
     by_head: dict[tuple[str, int], list[Rule]] = {}
@@ -57,9 +57,9 @@ def compose(p: Program, r: Program, *,
         thetas = [unify_pairs((b, vs[0].head) for b, vs in zip(body, variants) if len(vs) == 1)]
         picks = [0]
         while picks:
-            if tries > max_assignments:
+            if tries > _ASSIGNMENT_CAP:
                 raise CompositionBudgetError(
-                    f"over {max_assignments} candidate tries for one rule")
+                    f"over {_ASSIGNMENT_CAP} candidate tries for one rule")
             d = len(picks) - 1
             theta = thetas[d]
             if theta is not None and d < len(branch):
@@ -84,9 +84,8 @@ def compose(p: Program, r: Program, *,
     return Program._of_canonical(sorted(set(out), key=rule_key))
 
 
-def compose_ground(p: Program, r: Program, *,
-                   max_assignments: int = DEFAULT_ASSIGNMENT_CAP) -> Program:
+def compose_ground(p: Program, r: Program) -> Program:
     """``compose`` on ground programs; raises ValueError on any other."""
     if not p.is_ground or not r.is_ground:
         raise ValueError("compose_ground requires ground programs")
-    return compose(p, r, max_assignments=max_assignments)
+    return compose(p, r)

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .compose import DEFAULT_ASSIGNMENT_CAP, compose
+from .compose import compose
 from .programs import (
     Program,
     Rule,
@@ -63,16 +63,11 @@ class VerifyResult:
         return self.ok
 
 
-def verify(cert: ReductionCertificate, *,
-           max_assignments: int = DEFAULT_ASSIGNMENT_CAP) -> VerifyResult:
+def verify(cert: ReductionCertificate) -> VerifyResult:
     """Check the certificate by actually composing; the diagnostic lists
     target rules the composition missed and composed rules not in the
     target."""
-    composed = compose(
-        compose(cert.prefix, cert.base, max_assignments=max_assignments),
-        cert.suffix,
-        max_assignments=max_assignments,
-    )
+    composed = compose(compose(cert.prefix, cert.base), cert.suffix)
     target_set = frozenset(cert.target)
     composed_set = frozenset(composed)
     missing = tuple(sorted(target_set - composed_set, key=rule_key))
@@ -92,22 +87,17 @@ def width_blocks(p: Program, r: Program) -> bool:
 
 @dataclass(frozen=True)
 class SearchBounds:
-    atom_universe: frozenset[Atom]
-    max_body: int
+    """``max_body`` bounds the atoms of a prefix or suffix body (None: no
+    bound); ``time_budget`` is in seconds."""
+
+    max_body: int | None = None
     time_budget: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_body < 0:
+        if self.max_body is not None and self.max_body < 0:
             raise ValueError(f"max_body must be non-negative, got {self.max_body}")
         if not self.time_budget >= 0:  # also rejects NaN, which never expires
             raise ValueError(f"time budget must be non-negative, got {self.time_budget}")
-
-    @staticmethod
-    def exhaustive_for(p: Program, r: Program,
-                       time_budget: float = 60.0) -> "SearchBounds":
-        universe = program_atoms(p) | program_atoms(r)
-        return SearchBounds(frozenset(universe), max(len(universe), 1),
-                            time_budget=time_budget)
 
 
 @dataclass
@@ -123,12 +113,11 @@ class SearchResult:
 
 
 def _bits(mask: int):
-    i = 0
+    """The indices of the set bits of ``mask``, in increasing order."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _Clock:
@@ -145,17 +134,17 @@ class _Clock:
 
 
 def search_reduction(p: Program, r: Program,
-                     bounds: SearchBounds | None = None) -> SearchResult:
+                     bounds: SearchBounds = SearchBounds()) -> SearchResult:
     """Search prefixes and suffixes witnessing ``p`` one-step reduced to
     ``r`` for ground programs.
 
     Returns the first verified certificate in a deterministic enumeration
     order (small prefixes and suffixes first), a definitive or bounded
     not-found, or a distinct budget-exceeded outcome.  ``exhaustive`` is
-    only claimed for propositional inputs whose candidate spaces the bounds
-    do not clip: every base head fits in a prefix body, and the target
-    bodies the verdict rests on (the one with no option, or all of them)
-    lie in the atom universe and fit in a suffix body.
+    only claimed for propositional inputs whose candidate spaces
+    ``max_body`` does not clip: every base head fits in a prefix body, and
+    the target bodies the verdict rests on (the one with no option, or all
+    of them) fit in a suffix body.
 
     Leaks are tested incrementally.  A prefix rule ``q`` composed with the
     base gives mid rules ``q o R``, built once, by the option loop; each mid
@@ -175,16 +164,12 @@ def search_reduction(p: Program, r: Program,
         return SearchResult(NOT_FOUND, exhaustive=True)
     if not p.is_ground or not r.is_ground:
         raise ValueError("reduction search handles ground programs only")
-    if bounds is None:
-        bounds = SearchBounds.exhaustive_for(p, r)
     clock = _Clock(bounds.time_budget)
 
-    pr_atoms = program_atoms(p) | program_atoms(r)
-    atoms = sorted(pr_atoms | bounds.atom_universe, key=atom_key)
+    atoms = sorted(program_atoms(p) | program_atoms(r), key=atom_key)
     index = {a: i for i, a in enumerate(atoms)}
-    universe_mask = 0
-    for a in bounds.atom_universe:
-        universe_mask |= 1 << index[a]
+    # No body, and no set of base heads, holds more than every atom.
+    max_body = len(atoms) if bounds.max_body is None else bounds.max_body
 
     p_rules = [(index[rl.head], _mask(rl, index)) for rl in p.sorted_rules()]
     by_head_r: dict[int, list[int]] = {}
@@ -194,25 +179,24 @@ def search_reduction(p: Program, r: Program,
     for h, m in p_rules:
         targets_by_head.setdefault(h, set()).add(m)
     r_heads = sorted(by_head_r)
-    exhaustive = bounds.max_body >= len(r_heads) and all(not a.args for a in pr_atoms)
-    clipped = {bmask for _, bmask in p_rules
-               if bmask & ~universe_mask or bmask.bit_count() > bounds.max_body}
+    exhaustive = max_body >= len(r_heads) and all(not a.args for a in atoms)
+    clipped = {bmask for _, bmask in p_rules if bmask.bit_count() > max_body}
 
     # Per-rule options: (prefix_rule, frozenset of suffix rules) pairs that
     # can reproduce the rule and leak nothing with this head, in the order
-    # the assembly tries them.  mid_bodies holds the bodies of q o R for each
-    # prefix rule q of an option.
+    # the assembly tries them.  mid_rules holds the rules q o R, as (head,
+    # body) pairs, for each prefix rule q of an option.
     all_options: list[list[tuple[tuple[int, int], frozenset[tuple[int, int]]]]] = []
-    mid_bodies: dict[tuple[int, int], set[int]] = {}
+    mid_rules: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
     for h, bmask in p_rules:
         targets = targets_by_head[h]
         options: list[tuple[tuple[int, int], frozenset[tuple[int, int]]]] = []
-        in_universe = list(_bits(bmask & universe_mask))
+        body_atoms = list(_bits(bmask))
         allowed_w = [sum(1 << c for c in ws)
-                     for size in range(min(bounds.max_body, len(in_universe)) + 1)
-                     for ws in combinations(in_universe, size)]
+                     for size in range(min(max_body, len(body_atoms)) + 1)
+                     for ws in combinations(body_atoms, size)]
         # The empty beta gives the fact option (h, 0) of a fact h.
-        for size in range(min(bounds.max_body, len(r_heads)) + 1):
+        for size in range(min(max_body, len(r_heads)) + 1):
             for beta in combinations(r_heads, size):
                 beta_mask = sum(1 << b for b in beta)
                 mids = {0}
@@ -240,7 +224,7 @@ def search_reduction(p: Program, r: Program,
                                 continue
                         options.append(((h, beta_mask), suffix))
                 if len(options) > n_options:
-                    mid_bodies[h, beta_mask] = mids
+                    mid_rules[h, beta_mask] = frozenset((h, m) for m in mids)
                 if clock.expired():
                     return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
         if not options:
@@ -252,19 +236,20 @@ def search_reduction(p: Program, r: Program,
         all_options.append(options)
 
     # Combine one option per rule by depth-first assembly, on an explicit
-    # stack of (node, untried options).  A node is (prefix rules, suffix
-    # rules, mid rules of prefix o R, suffix bodies by head).  Emissions are
-    # monotone in both the prefix and the suffix (more rules only add
-    # emissions), so a partial assembly that already leaks outside P prunes
-    # its whole subtree, and a completed assembly that never leaked
-    # reproduces every rule by construction.  Every emission of a node is in
-    # P, so _extend tests only the mid rules a child adds and the old ones
-    # whose body meets the head of a suffix rule it adds.  The verdict is
-    # that of composing the whole trial assembly, so the nodes visited and
-    # the budget checks made (one per node entered) are too.
-    mid_rules: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    node = (frozenset(), frozenset(), frozenset(), {})
+    # stack of (node, untried options); chosen[i] is the option that made
+    # the node at depth i + 1.  A node is (mid rules of prefix o R, suffix
+    # bodies by head).  Emissions are monotone in both the prefix and the
+    # suffix (more rules only add emissions), so a partial assembly that
+    # already leaks outside P prunes its whole subtree, and a completed
+    # assembly that never leaked reproduces every rule by construction.
+    # Every emission of a node is in P, so _extend tests only the mid rules
+    # a child adds and the old ones whose body meets the head of a suffix
+    # rule it adds.  The verdict is that of composing the whole trial
+    # assembly, so the nodes visited and the budget checks made (one per
+    # node entered) are too.
+    node = (frozenset(), {})
     stack = []
+    chosen = []
     while node is not None:
         if clock.expired():
             return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
@@ -276,18 +261,18 @@ def search_reduction(p: Program, r: Program,
         while node is None and stack:
             parent, untried = stack[-1]
             for option in untried:
-                node = _extend(parent, option, mid_bodies, mid_rules, targets_by_head)
+                node = _extend(parent, option, mid_rules, targets_by_head)
                 if node is not None:
+                    chosen[len(stack) - 1:] = [option]
                     break
             else:
                 stack.pop()
     if node is not None:
-        q_rules, s_rules, _, _ = node
         cert = ReductionCertificate(
             target=p,
             base=r,
-            prefix=_program_from_masks(q_rules, atoms),
-            suffix=_program_from_masks(s_rules, atoms),
+            prefix=_program_from_masks({q for q, _ in chosen}, atoms),
+            suffix=_program_from_masks(set().union(*(s for _, s in chosen)), atoms),
         )
         if verify(cert):
             return SearchResult(FOUND, cert, exhaustive=False,
@@ -296,17 +281,13 @@ def search_reduction(p: Program, r: Program,
                         elapsed=clock.elapsed)
 
 
-def _extend(node, option, mid_bodies, mid_rules, targets_by_head):
+def _extend(node, option, mid_rules, targets_by_head):
     """The assembly ``node`` with ``option`` added, or None when that leaks
-    a body outside the target.  ``mid_rules`` caches each prefix rule's mid
-    bodies from ``mid_bodies`` as (head, body) pairs, made on first use."""
-    q_rules, s_rules, mids, by_head_s = node
+    a body outside the target."""
+    mids, by_head_s = node
     q_rule, suffix = option
-    q_mids = mid_rules.get(q_rule)
-    if q_mids is None:
-        q_mids = mid_rules[q_rule] = frozenset((q_rule[0], m) for m in mid_bodies[q_rule])
-    new_mids = q_mids - mids
-    added = suffix - s_rules
+    new_mids = mid_rules[q_rule] - mids
+    added = [(c, w) for c, w in suffix if w not in by_head_s.get(c, ())]
     nby = by_head_s
     new_heads = 0
     if added:
@@ -319,7 +300,7 @@ def _extend(node, option, mid_bodies, mid_rules, targets_by_head):
     if new_heads and any(_leaks(m, nby, targets_by_head[g])
                          for g, m in mids if m & new_heads):
         return None
-    return q_rules | {q_rule}, s_rules | suffix, mids | new_mids, nby
+    return mids | new_mids, nby
 
 
 def _mask(rule: Rule, index: dict[Atom, int]) -> int:
@@ -384,14 +365,12 @@ class SimilarityResult:
 
 
 def similar(p: Program, r: Program,
-            bounds: SearchBounds | None = None) -> SimilarityResult:
+            bounds: SearchBounds = SearchBounds()) -> SimilarityResult:
     """Decide similarity by searching both directions; each direction's
     evidence is attached.  Strict outcomes require the failing direction to
     be definitive (exhaustive bounds or the width obstruction)."""
-    fwd_bounds = bounds if bounds is not None else SearchBounds.exhaustive_for(p, r)
-    bwd_bounds = bounds if bounds is not None else SearchBounds.exhaustive_for(r, p)
-    fwd = search_reduction(p, r, fwd_bounds)
-    bwd = search_reduction(r, p, bwd_bounds)
+    fwd = search_reduction(p, r, bounds)
+    bwd = search_reduction(r, p, bounds)
     if fwd.found and bwd.found:
         outcome = SIMILAR
     elif fwd.found and bwd.status == NOT_FOUND and bwd.exhaustive:

@@ -18,7 +18,7 @@ Entailable = Union[Atom, Rule, Program, frozenset, set, tuple, list]
 def _check_ground_atoms(atoms: Iterable[Atom]) -> None:
     for a in atoms:
         if not atom_is_ground(a):
-            raise ValueError(f"entailment is defined on ground atoms only: {a}")
+            raise ValueError(f"expected ground atoms only, got {a}")
 
 
 def entails(i: Iterable[Atom], x: Entailable) -> bool:
@@ -44,10 +44,12 @@ def entails(i: Iterable[Atom], x: Entailable) -> bool:
 
 def tp(p: Program, i: Iterable[Atom]) -> frozenset[Atom]:
     """One application of the immediate-consequence operator: heads of
-    rules whose body the interpretation satisfies."""
+    rules whose body the interpretation satisfies.  Both must be ground."""
     if not p.is_ground:
         raise ValueError("tp requires a ground program")
-    return _tp(p, frozenset(i))
+    iset = frozenset(i)
+    _check_ground_atoms(iset)
+    return _tp(p, iset)
 
 
 def _tp(p: Program, iset: frozenset[Atom]) -> frozenset[Atom]:

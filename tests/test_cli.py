@@ -62,6 +62,14 @@ class TestSimpleCommands:
         assert out.returncode == 0
         assert out.stdout == "a.\nb.\n"
 
+    def test_tp_nonground_facts_exit_two(self, tmp_path):
+        # q(X) would otherwise pass as an opaque atom: q(a) printed, r(a) missed
+        p = write(tmp_path, "p.lp", "r(X) :- q(X).\nq(a).\n")
+        facts = write(tmp_path, "i.lp", "q(X).\n")
+        out = run_cli("tp", p, "--facts", facts)
+        assert out.returncode == 2
+        assert out.stdout == "" and "Traceback" not in out.stderr
+
 
 class TestSld:
     def test_refutation_exit_zero(self):

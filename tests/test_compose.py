@@ -1,6 +1,7 @@
 """The sequential composition operator."""
 
 import random
+import sys
 
 import pytest
 
@@ -175,12 +176,18 @@ class TestGroundFastPath:
             compose_ground(parse_program("p(X)."), Program())
 
 
+def _set_cap(monkeypatch, cap):
+    # ``seqhorn.compose`` is the re-exported function, so look the module up.
+    monkeypatch.setattr(sys.modules["seqhorn.compose"], "_ASSIGNMENT_CAP", cap)
+
+
 class TestResourceGuard:
-    def test_assignment_cap(self):
+    def test_assignment_cap(self, monkeypatch):
         p = parse_program("a :- b, c.")
         r = parse_program("b.\nc.\nb :- c.\nc :- b.")
+        _set_cap(monkeypatch, 3)
         with pytest.raises(CompositionBudgetError):
-            compose(p, r, max_assignments=3)
+            compose(p, r)
 
     @pytest.mark.parametrize("left, right, tries", [
         # p(a) clashes with both q facts; p(b) tries both and keeps q(b)
@@ -191,19 +198,23 @@ class TestResourceGuard:
         ("a :- " + ", ".join(f"p{i}" for i in range(500)) + ".",
          "".join(f"p{i}.\n" for i in range(500)), 500),
     ], ids=["two-clashes", "forced-clash", "wide-500"])
-    def test_cap_counts_candidate_tries(self, left, right, tries):
+    def test_cap_counts_candidate_tries(self, monkeypatch, left, right, tries):
         p, r = parse_program(left), parse_program(right)
-        assert compose(p, r, max_assignments=tries) == compose(p, r)
+        uncapped = compose(p, r)
+        _set_cap(monkeypatch, tries)
+        assert compose(p, r) == uncapped
+        _set_cap(monkeypatch, tries - 1)
         with pytest.raises(CompositionBudgetError):
-            compose(p, r, max_assignments=tries - 1)
+            compose(p, r)
 
     @pytest.mark.parametrize("unrelated", [30, 40])
-    def test_unrelated_rules_cost_nothing(self, unrelated):
+    def test_unrelated_rules_cost_nothing(self, monkeypatch, unrelated):
         # |R|^4 total assignments (2.8 million at 40 unrelated facts), but
         # only one candidate per body atom
         p = parse_program("h :- p(X), p(Y), p(Z), p(W).")
         r = parse_program("".join(f"q{i}(c{i}).\n" for i in range(unrelated)) + "p(a).")
-        assert compose(p, r, max_assignments=4) == parse_program("h.")
+        _set_cap(monkeypatch, 4)
+        assert compose(p, r) == parse_program("h.")
 
     def test_wide_body_is_not_recursive(self):
         n = 2000

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqhorn import (
     Atom,
@@ -170,8 +172,7 @@ class TestSearchReduction:
         rng = random.Random(41)
         p = random_prop_program(rng, max_rules=4)
         r = random_prop_program(rng, max_rules=4)
-        bounds = SearchBounds.exhaustive_for(p, r, time_budget=0.0)
-        result = search_reduction(p, r, bounds)
+        result = search_reduction(p, r, SearchBounds(time_budget=0.0))
         assert result.status == BUDGET_EXCEEDED
 
     def test_max_body_clips_target_body(self):
@@ -181,8 +182,7 @@ class TestSearchReduction:
         p = parse_program("a :- x, y, z.")
         r = parse_program("b :- c.")
         assert search_reduction(p, r).status == FOUND
-        universe = SearchBounds.exhaustive_for(p, r).atom_universe
-        result = search_reduction(p, r, SearchBounds(universe, max_body=1))
+        result = search_reduction(p, r, SearchBounds(max_body=1))
         assert (result.status, result.exhaustive) == (NOT_FOUND, False)
 
     def test_max_body_clips_assembly(self):
@@ -192,8 +192,7 @@ class TestSearchReduction:
         p = parse_program("a :- b.\na :- a, c, d.")
         r = parse_program("a :- a, c.\na :- b, c.")
         assert search_reduction(p, r).status == FOUND
-        universe = SearchBounds.exhaustive_for(p, r).atom_universe
-        result = search_reduction(p, r, SearchBounds(universe, max_body=2))
+        result = search_reduction(p, r, SearchBounds(max_body=2))
         assert (result.status, result.exhaustive) == (NOT_FOUND, False)
 
     def test_large_fact_target(self):
@@ -208,7 +207,7 @@ class TestSearchReduction:
                              ids=["negative-max-body", "negative-budget", "nan-budget"])
     def test_invalid_bounds_rejected(self, max_body, time_budget):
         with pytest.raises(ValueError):
-            SearchBounds(atoms("a"), max_body=max_body, time_budget=time_budget)
+            SearchBounds(max_body=max_body, time_budget=time_budget)
 
     def test_determinism(self):
         first = search_reduction(P_SWAP, PI)
@@ -316,7 +315,7 @@ class TestPinnedSearches:
         monkeypatch.setattr(seqhorn.decompose, "_Clock", _CountingClock)
         monkeypatch.setattr(_CountingClock, "instances", [])
         p, r = _pinned_pair(seed)
-        result = search_reduction(p, r, SearchBounds.exhaustive_for(p, r, time_budget=200))
+        result = search_reduction(p, r, SearchBounds(time_budget=200))
         assert (result.status, result.exhaustive) == (status, exhaustive)
         (clock,) = _CountingClock.instances
         assert clock.checks == checks
@@ -344,6 +343,18 @@ class TestPinnedSearches:
 
 
 class TestMaskPipeline:
+    # dense masks, and sparse ones whose few set bits lie anywhere in 5000
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.integers(min_value=0, max_value=(1 << 5000) - 1),
+        st.sets(st.integers(min_value=0, max_value=4999), max_size=60)
+        .map(lambda indices: sum(1 << i for i in indices))))
+    def test_bits_are_the_set_bit_indices(self, mask):
+        from seqhorn.decompose import _bits
+
+        want = [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+        assert list(_bits(mask)) == want
+
     def test_leak_test_matches_composition(self):
         # The search's leak test must agree with composing the mid rule with
         # the suffix, as the ground programs its masks stand for, and
@@ -407,13 +418,12 @@ class TestSimilar:
         p = parse_program("a :- x, y, z.")
         r = parse_program("b :- c.")
         assert similar(p, r).outcome == SIMILAR
-        universe = SearchBounds.exhaustive_for(p, r).atom_universe
-        assert similar(p, r, SearchBounds(universe, max_body=1)).outcome == INCOMPARABLE
+        assert similar(p, r, SearchBounds(max_body=1)).outcome == INCOMPARABLE
 
     def test_incomparable_under_tight_bounds(self):
         p = parse_program("a :- b, c.\nd :- b.")
         r = parse_program("a :- c.\nq :- c.")
-        bounds = SearchBounds(atoms("a"), max_body=0, time_budget=5.0)
+        bounds = SearchBounds(max_body=0, time_budget=5.0)
         result = similar(p, r, bounds)
         assert result.outcome == INCOMPARABLE
 

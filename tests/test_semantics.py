@@ -8,6 +8,7 @@ import pytest
 from seqhorn import (
     Atom,
     Program,
+    Var,
     entails,
     least_model,
     logically_equivalent,
@@ -65,6 +66,12 @@ class TestTp:
     def test_rejects_nonground(self):
         with pytest.raises(ValueError):
             tp(parse_program("p(X)."), frozenset())
+
+    def test_rejects_nonground_interpretation(self):
+        # q(X) is no ground atom, so it cannot stand for its instances
+        p = parse_program("r(a) :- q(a).")
+        with pytest.raises(ValueError):
+            tp(p, frozenset({Atom("q", (Var("X"),))}))
 
 
 def _all_subsets(universe):
