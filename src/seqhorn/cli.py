@@ -9,6 +9,7 @@ inputs produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -26,7 +27,15 @@ from .decompose import (
 from .programs import CanonicalFormBudgetError, Program, dual, gnd, signature_of, width
 from .semantics import least_model, tp
 from .sld import render_derivation, sld, translated_sld
-from .syntax import ParseError, atom_to_text, parse_program, parse_query, program_to_text
+from .syntax import (
+    ParseError,
+    atom_to_text,
+    parse_program,
+    parse_query,
+    program_to_text,
+    rule_to_text,
+)
+from .terms import atom_key
 
 
 def _load(path: str) -> Program:
@@ -42,8 +51,6 @@ def _print_program(p: Program) -> None:
 
 
 def _print_atoms(atoms) -> None:
-    from .terms import atom_key
-
     for a in sorted(atoms, key=atom_key):
         print(atom_to_text(a) + ".")
 
@@ -128,12 +135,8 @@ def _cmd_verify(args) -> int:
         return 0
     print("not equal")
     for r in result.missing:
-        from .syntax import rule_to_text
-
         print("missing: " + rule_to_text(r))
     for r in result.extra:
-        from .syntax import rule_to_text
-
         print("extra: " + rule_to_text(r))
     return 1
 
@@ -163,7 +166,16 @@ def _cmd_similar(args) -> int:
     return 0 if result.is_similar else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``seqhorn`` argument parser, built on the first call.
+
+    Every later call returns the same parser, so ``main`` pays for its
+    construction once per process.  Parsing leaves the parser unchanged:
+    each ``parse_args`` returns a new namespace, and argparse looks up
+    ``sys.stdout`` and ``sys.stderr`` when it prints.  Callers must not
+    modify the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="seqhorn",
         description="Sequential composition algebra for Horn logic programs",

@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import argparse
+import contextlib
+import io
+
 import pytest
 
 from conftest import FIXTURES, run_seqhorn
+from seqhorn.cli import main
 
 
 run_cli = run_seqhorn
@@ -278,18 +283,93 @@ class TestErrors:
         assert err.count("\n") == 1 and "resource cap" in err
 
 
+# One call of every kind whose output could depend on hashing or on state
+# left behind by an earlier call; each exits 0 on the fixtures.
+DETERMINISM_ARGS = pytest.mark.parametrize("args", [
+    ("compose", "q_plus_append.lp", "plus.lp"),
+    ("sld", "member.lp", "?- member(X,[a,b,c]), member(X,[c,b]).", "--trace"),
+    ("xsld", "--prefix", "q_member_append.lp", "--base", "append.lp",
+     "--suffix", "s_member_append.lp", "?- member(X,[a,b]), member(X,[b]).", "--trace"),
+    ("search", "--target", "ground_target.lp", "--base", "ground_base.lp"),
+    ("similar", "ground_target.lp", "ground_base.lp"),
+], ids=["compose", "sld", "xsld", "search", "similar"])
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("args", [
-        ("compose", "q_plus_append.lp", "plus.lp"),
-        ("sld", "member.lp", "?- member(X,[a,b,c]), member(X,[c,b]).", "--trace"),
-        ("xsld", "--prefix", "q_member_append.lp", "--base", "append.lp",
-         "--suffix", "s_member_append.lp", "?- member(X,[a,b]), member(X,[b]).", "--trace"),
-        ("search", "--target", "ground_target.lp", "--base", "ground_base.lp"),
-        ("similar", "ground_target.lp", "ground_base.lp"),
-    ], ids=["compose", "sld", "xsld", "search", "similar"])
+    @DETERMINISM_ARGS
     def test_identical_runs_identical_stdout(self, args):
         # different hash seeds, so that no output follows set iteration order
         first = run_cli(*args, env={"PYTHONHASHSEED": "1"})
         second = run_cli(*args, env={"PYTHONHASHSEED": "2"})
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
+
+
+def call_main(*args):
+    """``seqhorn.cli.main(args)`` in this process, with stdout and stderr
+    redirected for this call only; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestInProcess:
+    """``main`` called many times in one process behaves as a new process
+    each time: the parser it reuses keeps no flag, default or error text."""
+
+    @pytest.fixture(autouse=True)
+    def in_fixtures(self, monkeypatch):
+        monkeypatch.chdir(FIXTURES)
+        # argparse wraps usage and help to the terminal width; fix it, for
+        # this process and its children alike.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @DETERMINISM_ARGS
+    def test_repeated_calls_match_new_process(self, args):
+        child = run_cli(*args)
+        for _ in range(2):
+            code, out, err = call_main(*args)
+            assert (code, out, err) == (child.returncode, child.stdout, child.stderr)
+
+    def test_usage_error_then_valid_call(self):
+        code, out, err = call_main("compose")
+        assert (code, out, err) == (2, "", run_cli("compose").stderr)
+        assert err.startswith("usage: seqhorn compose")
+        code, out, err = call_main("compose", "q_plus_append.lp", "plus.lp")
+        assert (code, err) == (0, "")
+        assert out == run_cli("compose", "q_plus_append.lp", "plus.lp").stdout
+
+    def test_trace_flag_does_not_stick(self):
+        query = ("sld", "member.lp", "?- member(X,[a,b,c]), member(X,[c,b]).")
+        code, traced, _ = call_main(*query, "--trace")
+        assert code == 0 and traced.count("\n") > 1
+        assert call_main(*query) == (0, "refutation\n", "")
+
+    def test_help_twice(self):
+        child = run_cli("--help")
+        first = call_main("--help")
+        assert first == call_main("--help") == (0, child.stdout, "")
+        assert child.returncode == 0
+
+    def test_parser_built_once(self, monkeypatch):
+        call_main("width", "member.lp")  # builds the parser, if no test has yet
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [call_main(*args)[0] for args in [
+            ("compose", "q_plus_append.lp", "plus.lp"),
+            ("width", "member.lp"),
+            ("gnd", "nat.lp", "--depth", "2"),
+            ("sld", "nat.lp", "?- nat(s(0)).", "--trace"),
+            ("similar", "ground_target.lp", "ground_base.lp"),
+            ("compose",),
+            ("--help",),
+        ]]
+        assert codes == [0, 0, 0, 0, 0, 2, 0]
+        assert built == []
