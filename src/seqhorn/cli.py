@@ -265,10 +265,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CompositionBudgetError, CanonicalFormBudgetError) as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except RecursionError:
-        print("resource cap exceeded: input nested too deeply (Python recursion limit)",
-              file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -176,8 +176,11 @@ def _renamed(a: Atom, numbering: Subst) -> tuple:
 def _match_args(cs: tuple, ds: tuple, f: dict[str, str], used: set[str],
                 ext: dict[str, str]) -> bool:
     """Extend ``ext`` so that the variable map ``f`` + ``ext`` takes the
-    terms ``cs`` to ``ds``, keeping the map injective; False if it cannot."""
-    for s, t in zip(cs, ds):
+    terms ``cs`` to ``ds``, keeping the map injective; False if it cannot.
+    Pairs are matched left to right, those still to match kept on a stack."""
+    pairs = list(zip(cs[::-1], ds[::-1]))
+    while pairs:
+        s, t = pairs.pop()
         if isinstance(s, Var):
             if not isinstance(t, Var):
                 return False
@@ -190,9 +193,9 @@ def _match_args(cs: tuple, ds: tuple, f: dict[str, str], used: set[str],
                 return False
         elif isinstance(s, Compound):
             if not (isinstance(t, Compound) and s.functor == t.functor
-                    and len(s.args) == len(t.args)
-                    and _match_args(s.args, t.args, f, used, ext)):
+                    and len(s.args) == len(t.args)):
                 return False
+            pairs += zip(s.args[::-1], t.args[::-1])
         elif s != t:
             return False
     return True
@@ -459,12 +462,20 @@ class Program:
 EMPTY = Program()
 
 
+def _require_ground(op: str, p: Program = EMPTY, atoms: Iterable[Atom] = ()) -> None:
+    """Raise ValueError, naming the operation ``op``, unless the program
+    ``p`` and the ``atoms`` are ground."""
+    if not p.is_ground:
+        raise ValueError(f"{op} requires a ground program")
+    for a in atoms:
+        if not atom_is_ground(a):
+            raise ValueError(f"{op} requires ground atoms, got {a}")
+
+
 def interpretation(atoms: Iterable[Atom]) -> Program:
     """The set of ground atoms viewed as a program of facts."""
     atoms = list(atoms)
-    for a in atoms:
-        if not atom_is_ground(a):
-            raise ValueError(f"interpretation atoms must be ground: {a}")
+    _require_ground("interpretation", atoms=atoms)
     return Program(make_rule(a) for a in sorted(set(atoms), key=atom_key))
 
 
@@ -548,12 +559,14 @@ class Signature:
 
 
 def _collect_term_symbols(t: Term, fns: set[tuple[str, int]], consts: set[str]) -> None:
-    if isinstance(t, Const):
-        consts.add(t.name)
-    elif isinstance(t, Compound):
-        fns.add((t.functor, len(t.args)))
-        for a in t.args:
-            _collect_term_symbols(a, fns, consts)
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Const):
+            consts.add(t.name)
+        elif isinstance(t, Compound):
+            fns.add((t.functor, len(t.args)))
+            todo += t.args
 
 
 def signature_of(*programs: Program, atoms: Iterable[Atom] = (),
@@ -653,9 +666,7 @@ def unit_program(sig: Signature) -> Program:
 def unit_restricted(atoms: Iterable[Atom]) -> Program:
     """The ground unit slice {A <- A | A in I}."""
     atoms = list(atoms)
-    for a in atoms:
-        if not atom_is_ground(a):
-            raise ValueError(f"unit_restricted needs ground atoms: {a}")
+    _require_ground("unit_restricted", atoms=atoms)
     return Program(make_rule(a, (a,)) for a in sorted(set(atoms), key=atom_key))
 
 
@@ -663,7 +674,7 @@ def _check_subset(i: Iterable[Atom], hb: Iterable[Atom]) -> tuple[frozenset[Atom
     iset, hbset = frozenset(i), frozenset(hb)
     if not iset <= hbset:
         missing = sorted(iset - hbset, key=atom_key)
-        raise ValueError(f"atoms outside the Herbrand base: {missing}")
+        raise ValueError("atoms outside the Herbrand base: " + ", ".join(map(str, missing)))
     return iset, hbset
 
 
@@ -683,20 +694,15 @@ def body_plus(i: Iterable[Atom], hb: Iterable[Atom]) -> Program:
     )
 
 
-def _require_ground(p: Program, op: str) -> None:
-    if not p.is_ground:
-        raise ValueError(f"{op} requires a ground program")
-
-
 def left_reduct(p: Program, i: Iterable[Atom]) -> Program:
     """Rules whose head the interpretation satisfies."""
-    _require_ground(p, "left_reduct")
+    _require_ground("left_reduct", p)
     iset = frozenset(i)
     return Program(r for r in p if r.head in iset)
 
 
 def right_reduct(p: Program, i: Iterable[Atom]) -> Program:
     """Rules whose body the interpretation satisfies."""
-    _require_ground(p, "right_reduct")
+    _require_ground("right_reduct", p)
     iset = frozenset(i)
     return Program(r for r in p if set(r.body) <= iset)

@@ -9,16 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .programs import Program, Rule, head_of
-from .terms import Atom, atom_is_ground
+from .programs import Program, Rule, _require_ground, head_of
+from .terms import Atom
 
 Entailable = Union[Atom, Rule, Program, frozenset, set, tuple, list]
-
-
-def _check_ground_atoms(atoms: Iterable[Atom]) -> None:
-    for a in atoms:
-        if not atom_is_ground(a):
-            raise ValueError(f"expected ground atoms only, got {a}")
 
 
 def entails(i: Iterable[Atom], x: Entailable) -> bool:
@@ -28,27 +22,25 @@ def entails(i: Iterable[Atom], x: Entailable) -> bool:
     when every rule does.
     """
     iset = frozenset(i)
-    _check_ground_atoms(iset)
+    _require_ground("entails", atoms=iset)
     if isinstance(x, Atom):
-        _check_ground_atoms([x])
+        _require_ground("entails", atoms=[x])
         return x in iset
     if isinstance(x, Rule):
-        _check_ground_atoms([x.head, *x.body])
+        _require_ground("entails", atoms=[x.head, *x.body])
         return not set(x.body) <= iset or x.head in iset
     if isinstance(x, Program):
         return all(entails(iset, r) for r in x)
     atoms = frozenset(x)
-    _check_ground_atoms(atoms)
+    _require_ground("entails", atoms=atoms)
     return atoms <= iset
 
 
 def tp(p: Program, i: Iterable[Atom]) -> frozenset[Atom]:
     """One application of the immediate-consequence operator: heads of
     rules whose body the interpretation satisfies.  Both must be ground."""
-    if not p.is_ground:
-        raise ValueError("tp requires a ground program")
     iset = frozenset(i)
-    _check_ground_atoms(iset)
+    _require_ground("tp", p, iset)
     return _tp(p, iset)
 
 
@@ -59,8 +51,7 @@ def _tp(p: Program, iset: frozenset[Atom]) -> frozenset[Atom]:
 def least_model(p: Program) -> frozenset[Atom]:
     """Least fixed point of tp, reached by iteration from the empty
     interpretation; terminates within |head_of(p)| rounds."""
-    if not p.is_ground:
-        raise ValueError("least_model requires a ground program")
+    _require_ground("least_model", p)
     current: frozenset[Atom] = frozenset()
     for _ in range(len(head_of(p)) + 1):
         nxt = _tp(p, current)

@@ -109,60 +109,74 @@ class _Parser:
             raise self.error(f"expected {want!r}, found {got!r}")
         return self.next()
 
+    def at(self, text: str) -> bool:
+        # Punctuation text is never the text of a token of another kind.
+        return self.tokens[self.i].text == text
+
     # terms ---------------------------------------------------------------
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "var":
-            self.next()
-            return Var(tok.text)
-        if tok.kind == "ident":
-            self.next()
-            if self.peek().kind == "punct" and self.peek().text == "(":
-                return Compound(tok.text, self.paren_args())
-            return Const(tok.text)
-        if tok.kind == "punct" and tok.text == "[":
-            return self.list_term()
-        raise self.error(f"expected a term, found {tok.text or 'end of input'!r}")
-
-    def paren_args(self) -> tuple[Term, ...]:
-        self.expect("punct", "(")
-        args = [self.term()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.next()
-            args.append(self.term())
-        self.expect("punct", ")")
-        return tuple(args)
-
-    def list_term(self) -> Term:
-        self.expect("punct", "[")
-        if self.peek().kind == "punct" and self.peek().text == "]":
-            self.next()
-            return NIL
-        elems = [self.term()]
-        tail: Term = NIL
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.next()
-            elems.append(self.term())
-        if self.peek().kind == "punct" and self.peek().text == "|":
-            self.next()
-            tail = self.term()
-        self.expect("punct", "]")
-        for e in reversed(elems):
-            tail = Compound(CONS, (e, tail))
-        return tail
+        """Read one term, keeping the compounds and lists still open on a
+        stack, so that terms of any depth parse.  An entry is (kind, functor,
+        items read so far), its kind "(" for a compound, "[" for a list
+        before its "|" and "|" after it."""
+        tokens = self.tokens
+        stack: list[tuple[str, str, list[Term]]] = []
+        while True:
+            tok = tokens[self.i]
+            self.i += 1
+            if tok.kind == "var":
+                t: Term = Var(tok.text)
+            elif tok.kind == "ident" and tokens[self.i].text != "(":
+                t = Const(tok.text)
+            elif tok.kind == "ident":
+                self.i += 1
+                stack.append(("(", tok.text, []))
+                continue
+            elif tok.text == "[" and tokens[self.i].text == "]":
+                self.i += 1
+                t = NIL
+            elif tok.text == "[":
+                stack.append(("[", "", []))
+                continue
+            else:
+                raise self.error(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+            # ``t`` is complete: add it to the open terms, closing those it ends.
+            while stack:
+                kind, functor, items = stack[-1]
+                items.append(t)
+                sep = tokens[self.i].text
+                if sep == "," and kind != "|":
+                    self.i += 1
+                    break
+                if sep == "|" and kind == "[":
+                    self.i += 1
+                    stack[-1] = ("|", functor, items)
+                    break
+                stack.pop()
+                if kind == "(":
+                    self.expect("punct", ")")
+                    t = Compound(functor, tuple(items))
+                else:
+                    self.expect("punct", "]")
+                    t = items.pop() if kind == "|" else NIL
+                    for e in reversed(items):
+                        t = Compound(CONS, (e, t))
+            else:
+                return t
 
     # atoms and rules -------------------------------------------------------
 
     def atom(self) -> Atom:
         tok = self.expect("ident")
-        if self.peek().kind == "punct" and self.peek().text == "(":
-            return Atom(tok.text, self.paren_args())
-        return Atom(tok.text)
+        if not self.at("("):
+            return Atom(tok.text)
+        self.i -= 1  # read the identifier again, as the functor of a compound term
+        return Atom(tok.text, self.term().args)
 
     def atoms(self) -> list[Atom]:
         out = [self.atom()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
+        while self.at(","):
             self.next()
             out.append(self.atom())
         return out

@@ -117,15 +117,29 @@ def atom(pred: str, *args: Term) -> Atom:
 # Variables and groundness
 
 
+def _var_names(terms: tuple[Term, ...]) -> list[str]:
+    """Names of the variables in ``terms``, left to right, repeats included.
+    Compound terms are walked on an explicit stack, so any depth works."""
+    names = []
+    for t in terms:
+        if isinstance(t, Var):
+            names.append(t.name)
+        elif isinstance(t, Compound):
+            todo = [t]
+            while todo:
+                t = todo.pop()
+                if isinstance(t, Var):
+                    names.append(t.name)
+                elif isinstance(t, Compound):
+                    todo += t.args[::-1]
+    return names
+
+
 def term_vars(t: Term, acc: set[str] | None = None) -> set[str]:
     """Set of variable names occurring in ``t``."""
     if acc is None:
         acc = set()
-    if isinstance(t, Var):
-        acc.add(t.name)
-    elif isinstance(t, Compound):
-        for a in t.args:
-            term_vars(a, acc)
+    acc.update(_var_names((t,)))
     return acc
 
 
@@ -133,35 +147,35 @@ def atom_vars(a: Atom, acc: set[str] | None = None) -> set[str]:
     if acc is None:
         acc = set()
     for t in a.args:
-        term_vars(t, acc)
+        if isinstance(t, Var):
+            acc.add(t.name)
+        elif isinstance(t, Compound):
+            acc.update(_var_names(t.args))
     return acc
 
 
 def term_var_order(t: Term, seen: dict[str, None]) -> None:
     """Add variable names to the insertion-ordered ``seen`` in
     first-occurrence order."""
-    if isinstance(t, Var):
-        seen.setdefault(t.name)
-    elif isinstance(t, Compound):
-        for a in t.args:
-            term_var_order(a, seen)
+    for name in _var_names((t,)):
+        seen.setdefault(name)
 
 
 def atom_var_order(a: Atom, seen: dict[str, None]) -> None:
     for t in a.args:
-        term_var_order(t, seen)
+        if isinstance(t, Var):
+            seen.setdefault(t.name)
+        elif isinstance(t, Compound):
+            for name in _var_names(t.args):
+                seen.setdefault(name)
 
 
 def term_is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Compound):
-        return all(term_is_ground(a) for a in t.args)
-    return True
+    return not _var_names((t,))
 
 
 def atom_is_ground(a: Atom) -> bool:
-    return all(term_is_ground(t) for t in a.args)
+    return not _var_names(a.args)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +226,7 @@ def subst_atom(a: Atom, s: Subst) -> Atom:
 
 
 def _occurs(name: str, t: Term) -> bool:
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Var):
-            if t.name == name:
-                return True
-        elif isinstance(t, Compound):
-            todo.extend(t.args)
-    return False
+    return isinstance(t, Compound) and name in _var_names(t.args)
 
 
 def _bind(v: Var, t: Term, s: Subst) -> Subst | None:
@@ -322,8 +328,11 @@ class FreshVars:
 _VAR, _CONST, _COMPOUND = 0, 1, 2
 
 
-def term_key(t: Term, named_vars: bool = True):
-    """Sort key realizing a fixed total order on terms.
+def term_key(t: Term, named_vars: bool = True) -> tuple:
+    """Sort key realizing a fixed total order on terms: the symbols of ``t``
+    in preorder, each as ``_VAR, name``, ``_CONST, name`` or ``_COMPOUND,
+    functor, arity``.  Arities delimit the subterms, so flat keys compare as
+    nested ones (symbol, then the arguments' keys) would.
 
     With ``named_vars=False`` all variables compare equal (the first-pass
     order used before canonical renaming).
@@ -332,8 +341,18 @@ def term_key(t: Term, named_vars: bool = True):
         return (_VAR, t.name if named_vars else "")
     if isinstance(t, Const):
         return (_CONST, t.name)
-    return (_COMPOUND, t.functor, len(t.args),
-            tuple(term_key(a, named_vars) for a in t.args))
+    key: list = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            key += (_VAR, t.name if named_vars else "")
+        elif isinstance(t, Const):
+            key += (_CONST, t.name)
+        else:
+            key += (_COMPOUND, t.functor, len(t.args))
+            todo += t.args[::-1]
+    return tuple(key)
 
 
 def atom_key(a: Atom, named_vars: bool = True):

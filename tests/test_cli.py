@@ -260,16 +260,6 @@ class TestErrors:
         assert out.returncode == 3
         assert "resource cap" in out.stderr
 
-    @pytest.mark.parametrize("command", ["width", "dual"])
-    def test_deep_term_exit_three(self, tmp_path, command):
-        # a 1500-element list nests deeper than Python's recursion limit
-        deep = write(tmp_path, "deep.lp",
-                     "p([" + ",".join(str(i) for i in range(1500)) + "]).\n")
-        out = run_cli(command, deep)
-        assert out.returncode == 3
-        assert "Traceback" not in out.stderr
-        assert out.stderr.count("\n") == 1 and "resource cap" in out.stderr
-
     def test_canonical_form_cap_exit_three(self, tmp_path, monkeypatch, capsys):
         # in process, so that the work cap can be lowered to fit a 6-cycle
         import seqhorn.programs
@@ -281,6 +271,46 @@ class TestErrors:
         assert main(["width", cycle]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "resource cap" in err
+
+
+# Terms 5000 deep, far past Python's recursion limit: a list of 5000
+# numerals and a numeral with 5000 successors.
+DEEP_TERMS = {
+    "list": "[" + ",".join(str(i) for i in range(5000)) + "]",
+    "numeral": "s(" * 5000 + "0" + ")" * 5000,
+}
+
+# Each program command on a fact p(T): its arguments and its stdout, with
+# T printed in place of {}.
+DEEP_CALLS = {
+    "width": (["p.lp"], "0\n"),
+    "dual": (["p.lp"], "p({}).\n"),
+    "gnd": (["p.lp"], "p({}).\n"),
+    "lm": (["p.lp"], "p({}).\n"),
+    "tp": (["p.lp", "--facts", "p.lp"], "p({}).\n"),
+    "compose": (["q.lp", "p.lp"], "q({}).\n"),
+    "sld": (["p.lp", "?- p(X)."], "refutation\n"),
+    "verify": (["--target", "qt.lp", "--base", "p.lp", "--prefix", "q.lp",
+                "--suffix", "empty.lp"], "verified\n"),
+    "similar": (["p.lp", "p.lp"], "similar\n"),
+}
+
+
+class TestDeepInput:
+    """Every program command answers on a fact holding a deep term."""
+
+    @pytest.mark.parametrize("shape", DEEP_TERMS)
+    @pytest.mark.parametrize("command", DEEP_CALLS)
+    def test_answers(self, tmp_path, command, shape):
+        args, stdout = DEEP_CALLS[command]
+        deep = DEEP_TERMS[shape]
+        write(tmp_path, "p.lp", f"p({deep}).\n")
+        write(tmp_path, "qt.lp", f"q({deep}).\n")
+        write(tmp_path, "q.lp", "q(X) :- p(X).\n")
+        write(tmp_path, "empty.lp", "")
+        out = run_cli(command, *args, cwd=tmp_path)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout == stdout.format(deep)
 
 
 # One call of every kind whose output could depend on hashing or on state

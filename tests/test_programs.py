@@ -187,6 +187,13 @@ class TestBodyMinus:
         with pytest.raises(ValueError):
             body_minus(atoms("z"), atoms("a"))
 
+    def test_atoms_outside_base_printed_as_text(self):
+        deep = "s(" * 5000 + "0" + ")" * 5000
+        (fact,) = parse_program(f"p({deep}).")
+        with pytest.raises(ValueError) as err:
+            body_minus(atoms("z") | {fact.head}, atoms("a"))
+        assert str(err.value) == f"atoms outside the Herbrand base: p({deep}), z"
+
 
 class TestBodyPlus:
     def test_adds_to_proper_bodies(self):

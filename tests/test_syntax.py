@@ -64,6 +64,31 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_program("a :- b")
 
+    @pytest.mark.parametrize("text,where", [
+        ("p(a", "1:4: expected ')', found 'end of input'"),
+        ("p([a|b c]).", "1:8: expected ']', found 'c'"),
+        ("p(]).", "1:3: expected a term, found ']'"),
+        ("p(a,).", "1:5: expected a term, found ')'"),
+        ("p([a|]).", "1:6: expected a term, found ']'"),
+        ("p(f()).", "1:5: expected a term, found ')'"),
+        ("p :- .", "1:6: expected 'ident', found '.'"),
+        ("p([a,b|c,d]).", "1:9: expected ']', found ','"),
+        ("p([a|b|c]).", "1:7: expected ']', found '|'"),
+        ("p([|a]).", "1:4: expected a term, found '|'"),
+        ("p(a b).", "1:5: expected ')', found 'b'"),
+        ("p(f(g(h(", "1:9: expected a term, found 'end of input'"),
+        ("p(X(a)).", "1:4: expected ')', found '('"),
+        ("p([]([])).", "1:5: expected ')', found '('"),
+        ("p([a,b,c]", "1:10: expected ')', found 'end of input'"),
+        ("X.", "1:1: expected 'ident', found 'X'"),
+        ("p(a).\nq(b", "2:4: expected ')', found 'end of input'"),
+        ("p(a) q.", "1:6: expected '.', found 'q'"),
+    ])
+    def test_error_messages(self, text, where):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == "<string>:" + where
+
 
 class TestRoundTrip:
     def test_fixture_files(self, plus, append, member, nat, q_plus_append,
@@ -83,6 +108,31 @@ class TestRoundTrip:
         for _ in range(200):
             p = random_prop_program(rng)
             assert parse_program(program_to_text(p)) == p
+
+    def test_matches_reference_parser(self, reference):
+        # nested lists, [H|T] tails and compounds, printed by the reference
+        rng = random.Random(74)
+
+        def term(depth):
+            roll = rng.random()
+            if depth and roll < 0.3:
+                elems = [term(depth - 1) for _ in range(rng.randint(1, 3))]
+                tail = term(depth - 1) if rng.random() < 0.4 else reference.NIL
+                return reference.make_list(elems, tail)
+            if depth and roll < 0.55:
+                return (rng.choice("fg"), *(term(depth - 1) for _ in range(rng.randint(1, 3))))
+            return rng.choice(["X", "Y", "_Z", "a", "0", "s1", reference.NIL])
+
+        def atom():
+            return (rng.choice("pq"), *(term(3) for _ in range(rng.randint(0, 2))))
+
+        for _ in range(300):
+            rules = [reference.rule(atom(), [atom() for _ in range(rng.randint(0, 2))])
+                     for _ in range(rng.randint(1, 4))]
+            text = reference.program_text(rules)
+            printed = program_to_text(parse_program(text))
+            assert reference.programs_alpha_equal(reference.parse_rules(printed),
+                                                  reference.parse_rules(text)), text
 
     def test_printing_is_deterministic(self):
         rng = random.Random(73)

@@ -25,7 +25,16 @@ from seqhorn import (
 )
 from seqhorn.syntax import term_to_text
 from seqhorn.programs import subst_rule
-from seqhorn.terms import FreshVars, atom_is_ground, subst_atom, subst_term
+from seqhorn.terms import (
+    FreshVars,
+    atom_is_ground,
+    subst_atom,
+    subst_term,
+    term_is_ground,
+    term_key,
+    term_var_order,
+    term_vars,
+)
 
 
 def pa(text: str) -> Atom:
@@ -417,6 +426,57 @@ class TestDeepTerms:
 
     def test_printing(self):
         assert term_to_text(self.chain(Const("0"))) == "s(" * self.N + "0" + ")" * self.N
+
+    def test_variables_groundness_and_keys(self):
+        x, y = self.chain(Var("X")), self.chain(Const("0"))
+        order: dict[str, None] = {}
+        term_var_order(Compound("f", (Var("Y"), x, Var("Z"), x)), order)
+        assert list(order) == ["Y", "X", "Z"] and term_vars(x) == {"X"}
+        assert not term_is_ground(x) and term_is_ground(y)
+        assert term_key(x) < term_key(y) == term_key(self.chain(Const("0")))
+
+    def test_canonical_form_of_deep_same_shape_atoms(self):
+        # swapping X and Y maps each body atom to the other, so the search
+        # matches the 5000-deep terms to prune the second choice
+        def deep(v):
+            for _ in range(5000):
+                v = Compound("s", (v,))
+            return v
+
+        x, y, v1, v2 = Var("X"), Var("Y"), Var("v1"), Var("v2")
+        rule = make_rule(Atom("h"), [Atom("p", (x, deep(y))), Atom("p", (y, deep(x)))])
+        want = Rule(Atom("h"), (Atom("p", (v1, deep(v2))), Atom("p", (v2, deep(v1)))))
+        assert canonicalize(rule) == want
+
+
+def _nested_term_key(t, named_vars=True):
+    """The key ``term_key`` computed before its keys were flat: a compound
+    term's key nests its arguments' keys."""
+    if isinstance(t, Var):
+        return (0, t.name if named_vars else "")
+    if isinstance(t, Const):
+        return (1, t.name)
+    return (2, t.functor, len(t.args), tuple(_nested_term_key(a, named_vars) for a in t.args))
+
+
+# The functors f and g each with arity 1 and 2, so that keys differ in the
+# functor, in the arity and in the arguments.
+_keyed_term_strategy = st.recursive(
+    st.sampled_from([Const("k"), Const("m"), Var("X"), Var("Y")]),
+    lambda sub: st.builds(Compound, st.sampled_from(["f", "g"]),
+                          st.lists(sub, min_size=1, max_size=2).map(tuple)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_keyed_term_strategy, min_size=2, max_size=6), st.booleans())
+def test_flat_term_key_orders_as_nested_key(terms, named_vars):
+    for a in terms:
+        for b in terms:
+            ka, kb = term_key(a, named_vars), term_key(b, named_vars)
+            na, nb = _nested_term_key(a, named_vars), _nested_term_key(b, named_vars)
+            assert (ka > kb) - (ka < kb) == (na > nb) - (na < nb)
 
 
 def test_subst_term_shares_unchanged_subterms():
