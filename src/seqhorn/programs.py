@@ -632,7 +632,11 @@ def herbrand_base(sig: Signature, depth: int) -> frozenset[Atom]:
 
 def gnd(p: Program, sig: Signature | None = None, depth: int = 0) -> Program:
     """All ground instances of the rules of ``p`` with variables drawn from
-    the depth-bounded term universe.  Exact for function-free signatures."""
+    the depth-bounded term universe.  Exact for function-free signatures.
+
+    Each instance is canonical as ``subst_rule`` builds it: a ground rule
+    has no variables to rename, and its body's deduplicated ``atom_key``
+    order is the canonical one."""
     if sig is None:
         sig = signature_of(p)
     terms = herbrand_terms(sig, depth)
@@ -645,7 +649,7 @@ def gnd(p: Program, sig: Signature | None = None, depth: int = 0) -> Program:
         for combo in product(terms, repeat=len(names)):
             s: Subst = dict(zip(names, combo))
             out.append(subst_rule(r, s))
-    return Program(out)
+    return Program._of_canonical(out)
 
 
 # ---------------------------------------------------------------------------

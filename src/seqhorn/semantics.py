@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .programs import Program, Rule, _require_ground, head_of
+from .programs import Program, Rule, _require_ground
 from .terms import Atom
 
 Entailable = Union[Atom, Rule, Program, frozenset, set, tuple, list]
@@ -27,13 +27,17 @@ def entails(i: Iterable[Atom], x: Entailable) -> bool:
         _require_ground("entails", atoms=[x])
         return x in iset
     if isinstance(x, Rule):
-        _require_ground("entails", atoms=[x.head, *x.body])
-        return not set(x.body) <= iset or x.head in iset
+        return _holds(iset, x)
     if isinstance(x, Program):
-        return all(entails(iset, r) for r in x)
+        return all(_holds(iset, r) for r in x)
     atoms = frozenset(x)
     _require_ground("entails", atoms=atoms)
     return atoms <= iset
+
+
+def _holds(iset: frozenset[Atom], r: Rule) -> bool:
+    _require_ground("entails", atoms=[r.head, *r.body])
+    return not set(r.body) <= iset or r.head in iset
 
 
 def tp(p: Program, i: Iterable[Atom]) -> frozenset[Atom]:
@@ -41,24 +45,41 @@ def tp(p: Program, i: Iterable[Atom]) -> frozenset[Atom]:
     rules whose body the interpretation satisfies.  Both must be ground."""
     iset = frozenset(i)
     _require_ground("tp", p, iset)
-    return _tp(p, iset)
-
-
-def _tp(p: Program, iset: frozenset[Atom]) -> frozenset[Atom]:
     return frozenset(r.head for r in p if set(r.body) <= iset)
 
 
 def least_model(p: Program) -> frozenset[Atom]:
-    """Least fixed point of tp, reached by iteration from the empty
-    interpretation; terminates within |head_of(p)| rounds."""
+    """Least fixed point of tp, by counter-based unit propagation (Dowling
+    and Gallier, 1984): each rule counts its body atoms not yet derived
+    (a program's rule bodies hold no repeats), and each atom lists the
+    rules whose body holds it.  The facts are derived first; deriving an
+    atom counts it off those rules, and a rule left with no count derives
+    its head.  Work is linear in the size of the program."""
     _require_ground("least_model", p)
-    current: frozenset[Atom] = frozenset()
-    for _ in range(len(head_of(p)) + 1):
-        nxt = _tp(p, current)
-        if nxt == current:
-            return current
-        current = nxt
-    return current
+    heads: list[Atom] = []
+    missing: list[int] = []
+    watch: dict[Atom, list[int]] = {}
+    todo: list[Atom] = []
+    for r in p:
+        if not r.body:
+            todo.append(r.head)
+            continue
+        k = len(heads)
+        heads.append(r.head)
+        missing.append(len(r.body))
+        for a in r.body:
+            watch.setdefault(a, []).append(k)
+    model: set[Atom] = set()
+    while todo:
+        a = todo.pop()
+        if a in model:
+            continue
+        model.add(a)
+        for k in watch.pop(a, ()):
+            missing[k] -= 1
+            if not missing[k]:
+                todo.append(heads[k])
+    return frozenset(model)
 
 
 def logically_equivalent(p: Program, r: Program) -> bool:

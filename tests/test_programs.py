@@ -11,6 +11,7 @@ from seqhorn import (
     body_minus,
     body_of,
     body_plus,
+    canonicalize,
     compose,
     compose_ground,
     dual,
@@ -28,7 +29,7 @@ from seqhorn import (
     unit_restricted,
     width,
 )
-from conftest import PROP_ATOMS, random_prop_program, random_interpretation
+from conftest import PROP_ATOMS, random_fo_program, random_prop_program, random_interpretation
 
 
 def atoms(*names: str) -> frozenset[Atom]:
@@ -130,6 +131,20 @@ class TestGnd:
             "nat(s(s(s(0)))) :- nat(s(s(0)))."
         )
         assert got == expected
+
+    def test_emits_canonical_rules(self):
+        # gnd keeps its instances as subst_rule builds them, unchecked
+        rng = random.Random(41)
+        f = Signature(frozenset(), frozenset({("f", 1)}), frozenset())
+        for _ in range(150):
+            p = random_fo_program(rng)
+            for d in (0, 1):
+                g = gnd(p, signature_of(p, extra_constants=("a",)) | f, d)
+                for r in g:
+                    c = canonicalize(r)
+                    assert c == r and c.body == r.body
+                assert tuple(g) == Program(g.rules).rules
+                assert g == Program(list(g))
 
 
 class TestUnitProgram:

@@ -5,21 +5,30 @@ from itertools import chain, combinations
 
 import pytest
 
+import seqhorn.programs
 from seqhorn import (
     Atom,
     Program,
+    Signature,
     Var,
     entails,
+    gnd,
     least_model,
     logically_equivalent,
     parse_program,
+    signature_of,
     tp,
 )
-from conftest import PROP_ATOMS, random_interpretation, random_prop_program
+from conftest import PROP_ATOMS, random_fo_program, random_interpretation, random_prop_program
 
 
 def atoms(*names):
     return frozenset(Atom(n) for n in names)
+
+
+def reversed_chain(n):
+    """a0 and a(i+1) :- a(i) for i < n, the rules listed last first."""
+    return parse_program("".join(f"a{i + 1} :- a{i}.\n" for i in reversed(range(n))) + "a0.\n")
 
 
 class TestEntails:
@@ -52,6 +61,17 @@ class TestEntails:
             p = random_prop_program(rng)
             i = random_interpretation(rng)
             assert entails(i, p) == (tp(p, i) <= i)
+
+    def test_interpretation_groundness_checked_once(self, monkeypatch):
+        # each atom of the model and of the program is checked once
+        p = reversed_chain(200)
+        m = least_model(p)
+        checks = []
+        is_ground = seqhorn.programs.atom_is_ground
+        monkeypatch.setattr(seqhorn.programs, "atom_is_ground",
+                            lambda a: checks.append(a) or is_ground(a))
+        assert entails(m, p)
+        assert len(checks) == len(m) + sum(1 + len(r.body) for r in p)
 
 
 class TestTp:
@@ -98,6 +118,43 @@ class TestLeastModel:
                             property(lambda self: checks.append(1) or is_ground(self)))
         assert least_model(p) == atoms(*(f"a{i}" for i in range(21)))
         assert len(checks) == 1
+
+    def test_linear_work_on_reversed_chain(self, monkeypatch):
+        # naive iteration of tp from the empty set takes n rounds of n rules
+        p = reversed_chain(2000)
+        size = sum(1 + len(r.body) for r in p)
+        hashes = []
+        atom_hash = Atom.__hash__
+        monkeypatch.setattr(Atom, "__hash__", lambda a: hashes.append(1) or atom_hash(a))
+        m = least_model(p)
+        monkeypatch.undo()
+        assert m == atoms(*(f"a{i}" for i in range(2001)))
+        assert len(hashes) <= 4 * size
+
+    @pytest.mark.parametrize("text, model", [
+        ("b :- a.\nc :- b.\nd :- c.\na.", "abcd"),  # a chain listed last first
+        ("a.\nb :- a, b.\nc :- a, c.\nc.", "ac"),  # bodies holding their own heads
+        ("a.\nb :- a, a.\nc :- b, a, b.", "abc"),  # repeated body atoms
+    ])
+    def test_pinned(self, text, model):
+        assert least_model(parse_program(text)) == atoms(*model)
+
+    def test_matches_naive_tp(self):
+        def naive(p):
+            i = frozenset()
+            while (nxt := tp(p, i)) != i:
+                i = nxt
+            return i
+
+        rng = random.Random(23)
+        f = Signature(frozenset(), frozenset({("f", 1)}), frozenset())
+        for _ in range(300):
+            p = random_prop_program(rng)
+            assert least_model(p) == naive(p)
+            q = random_fo_program(rng)
+            for d in (0, 1):
+                g = gnd(q, signature_of(q, extra_constants=("a",)) | f, d)
+                assert least_model(g) == naive(g)
 
     def test_minimality_by_exhaustive_model_search(self):
         rng = random.Random(22)
