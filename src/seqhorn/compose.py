@@ -9,7 +9,7 @@ respects program equality up to alpha-renaming.
 
 from __future__ import annotations
 
-from .programs import Program, Rule, canonicalize, make_rule, rename_fresh, rule_key
+from .programs import Program, Rule, canonicalize, rename_fresh, rule_key
 from .terms import FreshVars, subst_atom, unify, unify_pairs
 
 _ASSIGNMENT_CAP = 10**6  # candidate tries one rule's composition may make
@@ -78,7 +78,7 @@ def compose(p: Program, r: Program) -> Program:
                 chosen = dict(zip(branch, (k - 1 for k in picks)))
                 new_body = [subst_atom(b, theta) for i, vs in enumerate(variants)
                             for b in vs[chosen.get(i, 0)].body]
-                out.append(canonicalize(make_rule(subst_atom(rule.head, theta), new_body)))
+                out.append(canonicalize(Rule(subst_atom(rule.head, theta), tuple(new_body))))
             picks.pop()
             thetas.pop()
     return Program._of_canonical(sorted(set(out), key=rule_key))

@@ -25,7 +25,6 @@ from .compose import compose
 from .programs import (
     Program,
     Rule,
-    make_rule,
     program_atoms,
     rule_key,
     width,
@@ -345,7 +344,7 @@ def _leaks(mid: int, by_head_s: dict[int, tuple[int, ...]],
 def _program_from_masks(rules, atoms: list[Atom]) -> Program:
     out = []
     for h, m in sorted(rules):
-        out.append(make_rule(atoms[h], (atoms[c] for c in _bits(m))))
+        out.append(Rule(atoms[h], tuple(atoms[c] for c in _bits(m))))
     return Program(out)
 
 
@@ -403,12 +402,13 @@ def certificate_from_text(text: str, path: str = "<string>") -> ReductionCertifi
 
     chunks: dict[str, list[str]] = {}
     current: str | None = None
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         name = stripped[1:].strip() if stripped.startswith("%") else None
         if name in _SECTIONS:
             current = name
-            chunks[current] = []
+            # Blank lines up to the header keep the file's line numbers.
+            chunks[current] = [""] * n
         elif current is not None:
             chunks[current].append(line)
     missing = [s for s in _SECTIONS if s not in chunks]

@@ -418,8 +418,9 @@ class Program:
         return prog
 
     def _keep(self, canonical: Iterable[Rule]) -> None:
-        ordered = tuple(dict.fromkeys(canonical))
-        self._rules: tuple[Rule, ...] = ordered
+        # The set is built from the dict, which reuses its stored hashes.
+        ordered = dict.fromkeys(canonical)
+        self._rules: tuple[Rule, ...] = tuple(ordered)
         self._ruleset: frozenset[Rule] = frozenset(ordered)
 
     @property
@@ -476,7 +477,7 @@ def interpretation(atoms: Iterable[Atom]) -> Program:
     """The set of ground atoms viewed as a program of facts."""
     atoms = list(atoms)
     _require_ground("interpretation", atoms=atoms)
-    return Program(make_rule(a) for a in sorted(set(atoms), key=atom_key))
+    return Program(Rule(a) for a in sorted(set(atoms), key=atom_key))
 
 
 def is_interpretation(p: Program) -> bool:
@@ -521,7 +522,7 @@ def dual(p: Program) -> Program:
     out = [r for r in p if r.is_fact]
     for r in p:
         for a in r.body:
-            out.append(make_rule(a, (r.head,)))
+            out.append(Rule(a, (r.head,)))
     return Program(out)
 
 
@@ -671,7 +672,7 @@ def unit_restricted(atoms: Iterable[Atom]) -> Program:
     """The ground unit slice {A <- A | A in I}."""
     atoms = list(atoms)
     _require_ground("unit_restricted", atoms=atoms)
-    return Program(make_rule(a, (a,)) for a in sorted(set(atoms), key=atom_key))
+    return Program(Rule(a, (a,)) for a in sorted(set(atoms), key=atom_key))
 
 
 def _check_subset(i: Iterable[Atom], hb: Iterable[Atom]) -> tuple[frozenset[Atom], frozenset[Atom]]:
@@ -693,9 +694,7 @@ def body_plus(i: Iterable[Atom], hb: Iterable[Atom]) -> Program:
     """Right-composition program inserting the atoms of ``i`` into proper
     rule bodies: {A <- {A} u I | A in HB}."""
     iset, hbset = _check_subset(i, hb)
-    return Program(
-        make_rule(a, (a, *iset)) for a in sorted(hbset, key=atom_key)
-    )
+    return Program(Rule(a, (a, *iset)) for a in sorted(hbset, key=atom_key))
 
 
 def left_reduct(p: Program, i: Iterable[Atom]) -> Program:

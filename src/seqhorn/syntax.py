@@ -20,9 +20,9 @@ re-parses to an equal program.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .programs import Program, Rule, make_rule
+from .programs import Program, Rule
 from .terms import Atom, Compound, Const, Term, Var
 
 NIL = Const("[]")
@@ -38,76 +38,57 @@ class ParseError(Exception):
         super().__init__(f"{path}:{line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int
 
 
+# Whitespace and comments are unnamed, so they yield no token; ``bad``
+# catches every other character.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
+    \s+
+  | %[^\n]*
   | (?P<arrow>:-)
   | (?P<qmark>\?-)
   | (?P<var>[A-Z_][A-Za-z0-9_]*)
   | (?P<ident>[a-z0-9][A-Za-z0-9_]*)
   | (?P<punct>[()\[\],|.])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-def _tokenize(text: str, path: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, pos - line_start + 1,
-                             f"unexpected character {text[pos]!r}", path)
-        kind = m.lastgroup or ""
-        val = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, val, line, pos - line_start + 1))
-        nl = val.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + val.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str, path: str):
+        self.text = text
         self.path = path
-        self.tokens = _tokenize(text, path)
+        self.tokens = [Token(m.lastgroup, m.group(), m.start())
+                       for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+        self.tokens.append(Token("eof", "", len(text)))
         self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def next(self) -> Token:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
+        for tok in self.tokens:
+            if tok.kind == "bad":
+                raise self.error(f"unexpected character {tok.text!r}", tok)
 
     def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(tok.line, tok.column, message, self.path)
+        """The error at ``tok``, or at the current token; its line and
+        column are worked out from the token's offset only here."""
+        offset = (tok or self.tokens[self.i]).offset
+        line = self.text.count("\n", 0, offset) + 1
+        column = offset - self.text.rfind("\n", 0, offset)
+        return ParseError(line, column, message, self.path)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             got = tok.text or "end of input"
             raise self.error(f"expected {want!r}, found {got!r}")
-        return self.next()
+        self.i += 1
+        return tok
 
     def at(self, text: str) -> bool:
         # Punctuation text is never the text of a token of another kind.
@@ -177,23 +158,24 @@ class _Parser:
     def atoms(self) -> list[Atom]:
         out = [self.atom()]
         while self.at(","):
-            self.next()
+            self.i += 1
             out.append(self.atom())
         return out
 
     def rule(self) -> Rule:
+        """One rule as written; ``Program`` puts its body in canonical order."""
         head = self.atom()
         body: list[Atom] = []
-        if self.peek().kind == "arrow":
-            self.next()
+        if self.tokens[self.i].kind == "arrow":
+            self.i += 1
             body = self.atoms()
         self.expect("punct", ".")
-        return make_rule(head, body)
+        return Rule(head, tuple(body))
 
     def program(self) -> Program:
         rules: list[Rule] = []
-        while self.peek().kind != "eof":
-            if self.peek().kind == "qmark":
+        while (kind := self.tokens[self.i].kind) != "eof":
+            if kind == "qmark":
                 raise self.error("queries are not allowed in a program")
             rules.append(self.rule())
         return Program(rules)

@@ -454,6 +454,14 @@ class TestSerialization:
         assert cert.base == PI
         assert verify(cert)
 
+    def test_parse_error_line_counts_from_file_start(self):
+        from seqhorn import ParseError
+
+        text = "% TARGET\na.\n% BASE\nb.\n% PREFIX\nc.\n% SUFFIX\nd :- e\n"
+        with pytest.raises(ParseError) as err:
+            certificate_from_text(text, "cert.txt")
+        assert str(err.value).startswith("cert.txt:8:7: ")
+
     def test_missing_section_rejected(self):
         from seqhorn import ParseError
 

@@ -6,7 +6,9 @@ import pytest
 
 from seqhorn import (
     Atom,
+    Const,
     Program,
+    Rule,
     Signature,
     body_minus,
     body_of,
@@ -47,6 +49,27 @@ class TestHeadBodyFactsProper:
     def test_body(self):
         p = parse_program("a :- b, c.")
         assert body_of(p) == atoms("b", "c")
+
+
+class TestConstruction:
+    def test_body_order_and_repeats_do_not_matter(self):
+        p = parse_program("p(X) :- r(X), q(X), r(X).")
+        assert p == parse_program("p(Y) :- q(Y), r(Y).")
+        assert p.rules == parse_program("p(X) :- q(X), r(X).").rules
+
+    def test_each_rule_hashed_once(self, monkeypatch):
+        rules = [Rule(Atom("p", (Const(f"c{i}"),)), (Atom("q"),)) for i in range(100)]
+        calls = []
+        rule_hash = Rule.__hash__
+
+        def counted(r):
+            calls.append(r)
+            return rule_hash(r)
+
+        monkeypatch.setattr(Rule, "__hash__", counted)
+        p = Program._of_canonical(rules)
+        assert len(calls) == 100
+        assert p.rules == tuple(rules)
 
 
 class TestDual:

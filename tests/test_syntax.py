@@ -83,10 +83,28 @@ class TestParse:
         ("X.", "1:1: expected 'ident', found 'X'"),
         ("p(a).\nq(b", "2:4: expected ')', found 'end of input'"),
         ("p(a) q.", "1:6: expected '.', found 'q'"),
+        # positions after comments, tabs and CRLF line ends
+        ("p.\n% note\n  q(#).", "3:5: unexpected character '#'"),
+        ("p :- q.\r\nr(&).", "2:3: unexpected character '&'"),
+        ("p.\n\tq(a", "2:5: expected ')', found 'end of input'"),
+        ("p :- q,\n  r(X) s.", "2:8: expected '.', found 's'"),
+        # an unexpected character is reported before an earlier syntax error
+        ("p q(a) ;", "1:8: unexpected character ';'"),
     ])
     def test_error_messages(self, text, where):
         with pytest.raises(ParseError) as err:
             parse_program(text)
+        assert str(err.value) == "<string>:" + where
+
+    @pytest.mark.parametrize("text,where", [
+        ("?- p(X), q(Y)", "1:14: expected '.', found 'end of input'"),
+        ("p(X).", "1:1: expected 'qmark', found 'p'"),
+        ("?- p(X). q.", "1:10: expected 'eof', found 'q'"),
+        ("?- p(X),\n   q(Y)$.", "2:8: unexpected character '$'"),
+    ])
+    def test_query_error_messages(self, text, where):
+        with pytest.raises(ParseError) as err:
+            parse_query(text)
         assert str(err.value) == "<string>:" + where
 
 
