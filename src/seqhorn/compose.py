@@ -19,8 +19,8 @@ class CompositionBudgetError(Exception):
     """Composing one rule tried more candidates than ``_ASSIGNMENT_CAP``.
     A try unifies a body atom with a candidate head; tries grow
     exponentially in body size.  The cap does not bound one try's work:
-    unification copies the substitution at each binding, so a long body of
-    deeply nested bindings can still be slow."""
+    unification rewrites every bound value at each binding, so a long body
+    of deeply nested bindings can still be slow."""
 
 
 def compose(p: Program, r: Program) -> Program:

@@ -148,16 +148,17 @@ def search_reduction(p: Program, r: Program,
     Leaks are tested incrementally.  A prefix rule ``q`` composed with the
     base gives mid rules ``q o R``, built once, by the option loop; each mid
     rule, composed with the suffix, emits one body per choice of a suffix
-    rule for each of its body atoms.  Emissions are monotone in both the
-    prefix and the suffix, so a rule's option is tested only on the bodies
-    it emits with its own suffix, and a step of the assembly only on the
-    mid rules that step adds and on the old ones whose body meets the head
-    of a suffix rule it adds; everything else was inside the target at the
-    step before.  Each test stops at the first body outside the target.  It
-    gives the verdict of composing the whole assembly, so the options, the
-    order of the depth-first assembly and the points where the budget is
-    checked (once per combination of base heads, the empty one included,
-    and once per assembly node entered) are those of a full recomposition.
+    rule for each of its body atoms.  ``_unions`` builds both the mid bodies
+    and the emitted ones.  Emissions are monotone in both the prefix and
+    the suffix, so a rule's option is tested only on the bodies it emits
+    with its own suffix, and a step of the assembly only on the mid rules
+    that step adds and on the old ones whose body meets the head of a
+    suffix rule it adds; everything else was inside the target at the step
+    before.  The test gives the verdict of composing the whole assembly,
+    so the options, the order of the depth-first assembly and the points
+    where the budget is checked (once per combination of base heads, the
+    empty one included, and once per assembly node entered) are those of a
+    full recomposition.
     """
     if width_blocks(p, r):
         return SearchResult(NOT_FOUND, exhaustive=True)
@@ -198,9 +199,7 @@ def search_reduction(p: Program, r: Program,
         for size in range(min(max_body, len(r_heads)) + 1):
             for beta in combinations(r_heads, size):
                 beta_mask = sum(1 << b for b in beta)
-                mids = {0}
-                for b in beta:
-                    mids = {u | w for u in mids for w in by_head_r[b]}
+                mids = _unions(beta_mask, by_head_r)
                 n_options = len(options)
                 for mid in mids:
                     mid_atoms = list(_bits(mid))
@@ -219,7 +218,7 @@ def search_reduction(p: Program, r: Program,
                         suffix = frozenset(zip(mid_atoms, ws))
                         if inner:
                             by_head_s = {c: (w,) for c, w in suffix}
-                            if any(_leaks(m, by_head_s, targets) for m in inner):
+                            if any(not _unions(m, by_head_s) <= targets for m in inner):
                                 continue
                         options.append(((h, beta_mask), suffix))
                 if len(options) > n_options:
@@ -294,9 +293,9 @@ def _extend(node, option, mid_rules, targets_by_head):
         for c, w in added:
             nby[c] = nby.get(c, ()) + (w,)
             new_heads |= 1 << c
-    if any(_leaks(m, nby, targets_by_head[g]) for g, m in new_mids):
+    if any(not _unions(m, nby) <= targets_by_head[g] for g, m in new_mids):
         return None
-    if new_heads and any(_leaks(m, nby, targets_by_head[g])
+    if new_heads and any(not _unions(m, nby) <= targets_by_head[g]
                          for g, m in mids if m & new_heads):
         return None
     return mids | new_mids, nby
@@ -309,36 +308,17 @@ def _mask(rule: Rule, index: dict[Atom, int]) -> int:
     return m
 
 
-def _leaks(mid: int, by_head_s: dict[int, tuple[int, ...]],
-           targets: set[int]) -> bool:
-    """True when the mid rule with body ``mid``, composed with the suffix
-    bodies ``by_head_s`` (indexed by head), emits a body outside
-    ``targets``, the target bodies of its head.  It emits nothing when a
-    body atom has no suffix rule.  The unions are walked depth first, one
-    suffix rule per body atom, and the walk stops at the first leak.  A
-    partial union reached twice at the same atom is walked once, so the
-    walk visits at most one state per atom and distinct partial union."""
-    lists = []
-    for c in _bits(mid):
-        ws = by_head_s.get(c)
-        if ws is None:
-            return False
-        lists.append(ws)
-    last = len(lists)
-    stack = [(0, 0)]
-    visited = set(stack)
-    while stack:
-        i, u = stack.pop()
-        if i == last:
-            if u not in targets:
-                return True
-            continue
-        for w in lists[i]:
-            state = (i + 1, u | w)
-            if state not in visited:
-                visited.add(state)
-                stack.append(state)
-    return False
+def _unions(mask: int, by_head) -> set[int]:
+    """The unions of one body ``by_head[c]`` per atom ``c`` of ``mask``: the
+    bodies a rule with body ``mask`` emits when composed with the rules whose
+    bodies ``by_head`` indexes by head.  Built atom by atom; empty as soon as
+    an atom has no body."""
+    unions = {0}
+    for c in _bits(mask):
+        unions = {u | w for u in unions for w in by_head.get(c, ())}
+        if not unions:
+            break
+    return unions
 
 
 def _program_from_masks(rules, atoms: list[Atom]) -> Program:
@@ -402,7 +382,8 @@ def certificate_from_text(text: str, path: str = "<string>") -> ReductionCertifi
 
     chunks: dict[str, list[str]] = {}
     current: str | None = None
-    for n, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only, as ParseError counts them.
+    for n, line in enumerate(text.removesuffix("\n").split("\n"), start=1):
         stripped = line.strip()
         name = stripped[1:].strip() if stripped.startswith("%") else None
         if name in _SECTIONS:

@@ -229,24 +229,15 @@ def _occurs(name: str, t: Term) -> bool:
     return isinstance(t, Compound) and name in _var_names(t.args)
 
 
-def _bind(v: Var, t: Term, s: Subst) -> Subst | None:
-    # t is already resolved under s; keep s idempotent by rewriting old values.
-    if isinstance(t, Var) and t.name == v.name:
-        return s
-    if _occurs(v.name, t):
-        return None
-    one: Subst = {v.name: t}
-    out = {k: subst_term(u, one) for k, u in s.items()}
-    out[v.name] = t
-    return out
-
-
-def _unify_terms(x: Term, y: Term, s: Subst) -> Subst | None:
-    # Pairs are unified depth first, left to right, each under the bindings
-    # made before it; the pending pairs are kept on a stack.  Since ``s`` is
-    # idempotent, one lookup resolves a variable, and a term is substituted
-    # in full only when a variable is bound to it.
-    pairs = [(x, y)]
+def _unify_args(xs: tuple[Term, ...], ys: tuple[Term, ...], s: Subst) -> bool:
+    # Extends the idempotent ``s`` in place to unify each x with its y, or
+    # returns False.  Pairs are unified depth first, left to right, each
+    # under the bindings made before it; the pending pairs are kept on a
+    # stack.  Since ``s`` is idempotent, one lookup resolves a variable, and
+    # a term is substituted in full only when a variable is bound to it;
+    # binding then rewrites the old values, so ``s`` stays idempotent.
+    pairs = list(zip(xs, ys))
+    pairs.reverse()
     while pairs:
         x, y = pairs.pop()
         if isinstance(x, Var):
@@ -254,46 +245,49 @@ def _unify_terms(x: Term, y: Term, s: Subst) -> Subst | None:
         if isinstance(y, Var):
             y = s.get(y.name, y)
         if isinstance(x, Var):
-            s = _bind(x, subst_term(y, s), s)
+            v, t = x.name, subst_term(y, s)
         elif isinstance(y, Var):
-            s = _bind(y, subst_term(x, s), s)
-        elif (isinstance(x, Compound) and isinstance(y, Compound)
-              and x.functor == y.functor and len(x.args) == len(y.args)):
-            if x is not y:
-                pairs.extend(reversed(tuple(zip(x.args, y.args))))
-        elif x != y:
-            return None
-        if s is None:
-            return None
-    return s
+            v, t = y.name, subst_term(x, s)
+        else:
+            if (isinstance(x, Compound) and isinstance(y, Compound)
+                    and x.functor == y.functor and len(x.args) == len(y.args)):
+                if x is not y:
+                    pairs.extend(reversed(tuple(zip(x.args, y.args))))
+            elif x != y:
+                return False
+            continue
+        if isinstance(t, Var) and t.name == v:
+            continue
+        if _occurs(v, t):
+            return False
+        one: Subst = {v: t}
+        for k, u in s.items():
+            s[k] = subst_term(u, one)
+        s[v] = t
+    return True
 
 
 def unify(a: Atom, b: Atom, s: Subst | None = None) -> Subst | None:
     """Most general unifier of two atoms, or None.
 
     The result is idempotent and satisfies ``subst_atom(a, s) ==
-    subst_atom(b, s)``.  Failure (predicate or arity mismatch, clash,
-    occurs check) is a None return, not an exception.
+    subst_atom(b, s)``; ``s`` itself is left unchanged.  Failure (predicate
+    or arity mismatch, clash, occurs check) is a None return, not an
+    exception.
     """
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
     s = {} if s is None else dict(s)
-    for x, y in zip(a.args, b.args):
-        nxt = _unify_terms(x, y, s)
-        if nxt is None:
-            return None
-        s = nxt
-    return s
+    return s if not a.args or _unify_args(a.args, b.args, s) else None
 
 
 def unify_pairs(pairs: Iterable[tuple[Atom, Atom]]) -> Subst | None:
     """Single substitution unifying every pair simultaneously, or None."""
     s: Subst = {}
     for a, b in pairs:
-        nxt = unify(a, b, s)
-        if nxt is None:
+        if (a.pred != b.pred or len(a.args) != len(b.args)
+                or not _unify_args(a.args, b.args, s)):
             return None
-        s = nxt
     return s
 
 

@@ -356,18 +356,23 @@ class TestMaskPipeline:
         assert list(_bits(mask)) == want
 
     def test_leak_test_matches_composition(self):
-        # The search's leak test must agree with composing the mid rule with
-        # the suffix, as the ground programs its masks stand for, and
-        # comparing the bodies emitted with the targets.
-        from seqhorn.decompose import _bits, _leaks
+        # _unions must build the bodies that composing the ground programs
+        # its masks stand for emits: those of a mid rule under a suffix,
+        # which the leak test compares with the targets, and the mid bodies
+        # of a prefix rule h :- beta under a base R.
+        from seqhorn.decompose import _bits, _unions
 
         def body(mask):
             return [Atom(f"x{c}") for c in _bits(mask)]
 
-        def mask(rule):
-            return sum(1 << int(a.pred[1:]) for a in rule.body)
+        def emitted(mask, by_head):
+            rules = Program(make_rule(Atom(f"x{c}"), body(w))
+                            for c, ws in by_head.items() for w in ws)
+            composed = compose(Program([make_rule(Atom("h"), body(mask))]), rules)
+            return {sum(1 << int(a.pred[1:]) for a in rule.body) for rule in composed}
 
         rng = random.Random(45)
+        rng_r = random.Random(46)
         verdicts = set()
         for _ in range(2000):
             mid = rng.randrange(64)
@@ -375,13 +380,15 @@ class TestMaskPipeline:
             for _ in range(rng.randint(0, 10)):
                 by_head.setdefault(rng.randrange(6), []).append(rng.randrange(16))
             targets = {rng.randrange(16) for _ in range(rng.randint(0, 14))}
-            suffix = Program(make_rule(Atom(f"x{c}"), body(w))
-                             for c, ws in by_head.items() for w in ws)
-            emitted = compose(Program([make_rule(Atom("h"), body(mid))]), suffix)
-            want = any(mask(rule) not in targets for rule in emitted)
-            by_head_s = {c: tuple(ws) for c, ws in by_head.items()}
-            assert _leaks(mid, by_head_s, targets) == want
-            verdicts.add((want, bool(emitted)))
+            unions = _unions(mid, {c: tuple(ws) for c, ws in by_head.items()})
+            assert unions == emitted(mid, by_head)
+            verdicts.add((not unions <= targets, bool(unions)))
+            # a random propositional R over x0..x5, and beta a set of its heads
+            by_head_r = {}
+            for _ in range(rng_r.randint(1, 8)):
+                by_head_r.setdefault(rng_r.randrange(6), []).append(rng_r.randrange(64))
+            beta = sum(1 << c for c in by_head_r if rng_r.random() < 0.6)
+            assert _unions(beta, by_head_r) == emitted(beta, by_head_r)
         assert verdicts == {(True, True), (False, True), (False, False)}
 
 
@@ -461,6 +468,15 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             certificate_from_text(text, "cert.txt")
         assert str(err.value).startswith("cert.txt:8:7: ")
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028", "\r"])
+    def test_only_newlines_end_lines(self, sep):
+        from seqhorn import ParseError
+
+        text = f"% TARGET\na.{sep}b.\n% BASE\nb.\n% PREFIX\nc.\n% SUFFIX\nd :- e\n"
+        with pytest.raises(ParseError) as err:
+            certificate_from_text(text, "c.txt")
+        assert str(err.value).startswith("c.txt:8:7: ")
 
     def test_missing_section_rejected(self):
         from seqhorn import ParseError

@@ -88,6 +88,21 @@ class TestUnify:
             assert again == theta
         assert cases > 50
 
+    @pytest.mark.parametrize("a,b,want", [
+        ("p(X, Y)", "p(Z, g(W))", {"X": "f(g(W))", "Y": "g(W)", "Z": "f(g(W))"}),
+        ("p(Y, Z, X)", "p(a, b, f(c))", None),  # clash after two bindings
+        ("p(Z, Y)", "p(a, g(X))", None),  # occurs check after a binding: Y = g(f(Y))
+    ])
+    def test_caller_substitution_unchanged(self, a, b, want):
+        # compose extends a stack of substitutions and backtracks into them
+        s = {"X": Compound("f", (Var("Y"),))}
+        theta = unify(_raw_atom(a), _raw_atom(b), s)
+        assert s == {"X": Compound("f", (Var("Y"),))}
+        if want is None:
+            assert theta is None
+        else:
+            assert {k: term_to_text(v) for k, v in theta.items()} == want
+
 
 class TestUnifyPairs:
     def test_empty(self):
@@ -393,6 +408,17 @@ def test_canonicalize_matches_enumeration(head_vars, body):
     want = _canonicalize_by_enumeration(rule)
     assume(want is not None)
     assert canonicalize(rule) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_atom_strategy, _atom_strategy), max_size=4))
+def test_unify_pairs_is_a_fold_of_unify(pairs):
+    want: dict | None = {}
+    for a, b in pairs:
+        want = unify(a, b, want)
+        if want is None:
+            break
+    assert unify_pairs(pairs) == want
 
 
 @settings(max_examples=150, deadline=None)
