@@ -5,9 +5,14 @@ the phase schedule it follows.  Each macro step resolves the leftmost goal
 with a rule of the schedule's first program; every later stage then
 resolves, left to right, each goal the stage before it introduced, with a
 rule of its own program.  The engine keeps its choice points on an explicit
-stack, backtracks over rules in program order and renames every rule apart
-before use.  The depth limit counts macro steps and does not depend on
-Python's recursion limit.  With ``shortest=True`` the search runs iterative
+stack and backtracks over rules in program order.  It tries, and renames
+apart, only the candidate rules for a goal: those whose head has the goal's
+predicate and arity and whose first argument does not clash with the
+goal's, looked up in an index built once per derivation search.  Fresh
+names are still drawn as if every rule had been renamed in program order,
+so a trace names its variables exactly as a search that renamed every rule
+would.  The depth limit counts macro steps and does not depend on Python's
+recursion limit.  With ``shortest=True`` the search runs iterative
 deepening and returns a refutation with the fewest macro steps instead of
 the first one in search order.
 
@@ -28,9 +33,10 @@ here certifies the native consequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .programs import Program, Rule, rename_fresh
-from .terms import Atom, FreshVars, Subst, atom_vars, subst_atom, unify
+from .programs import Program, Rule, rename_fresh, rule_vars
+from .terms import Atom, Const, FreshVars, Subst, Var, atom_vars, subst_atom, unify
 
 REFUTATION = "refutation"
 FAILED = "failed"
@@ -133,8 +139,9 @@ def _run_search(q: Query, schedule, dedup: bool, depth_limit: int,
     if depth_limit < 0:
         raise ValueError(f"depth limit must be at least 0, not {depth_limit}")
     pool = FreshVars(avoid=query_vars(q))
+    indexes = [_RuleIndex(prog) for prog, _ in schedule]
     for bound in range(depth_limit + 1) if shortest else (depth_limit,):
-        steps, exceeded = _search(schedule, dedup, pool, q.goals, bound)
+        steps, exceeded = _search(schedule, indexes, dedup, pool, q.goals, bound)
         if steps is not None:
             return Derivation(q, steps, REFUTATION)
         if not exceeded:
@@ -142,13 +149,56 @@ def _run_search(q: Query, schedule, dedup: bool, depth_limit: int,
     return Derivation(q, [], DEPTH_EXCEEDED)
 
 
+def _first_symbol(a: Atom):
+    """The symbol of ``a``'s first argument: a constant's name, or a
+    compound's functor and arity; None for a variable or no argument."""
+    if not a.args or isinstance(a.args[0], Var):
+        return None
+    t = a.args[0]
+    return t.name if isinstance(t, Const) else (t.functor, len(t.args))
+
+
+class _RuleIndex:
+    """The rules of one program that can resolve a goal: those whose head
+    has the goal's predicate and arity and, unless one of the two is a
+    variable or absent, the same first-argument symbol."""
+
+    def __init__(self, program: Program) -> None:
+        self._rules = program.rules
+        # _ends[i] is the number of fresh names renaming rules[:i] takes.
+        self._ends = list(accumulate((len(rule_vars(r)) for r in self._rules), initial=0))
+        self._by_pred: dict[tuple[str, int], list[int]] = {}
+        for i, r in enumerate(self._rules):
+            self._by_pred.setdefault((r.head.pred, len(r.head.args)), []).append(i)
+        self._memo: dict[tuple, tuple] = {}
+
+    def tries(self, goal: Atom) -> tuple:
+        """The candidate rules for ``goal`` in program order, each paired
+        with the number of fresh names that renaming the rules passed over
+        since the one before would have taken; then the number for the
+        rules after the last candidate, paired with None.  Memoized per
+        (predicate, arity, first-argument symbol)."""
+        key = (goal.pred, len(goal.args), _first_symbol(goal))
+        found = self._memo.get(key)
+        if found is None:
+            symbol, rules, ends = key[2], self._rules, self._ends
+            found, done = [], 0
+            for i in self._by_pred.get(key[:2], ()):
+                if symbol is None or _first_symbol(rules[i].head) in (None, symbol):
+                    found.append((ends[i] - ends[done], rules[i]))
+                    done = i + 1
+            found.append((ends[-1] - ends[done], None))
+            found = self._memo[key] = tuple(found)
+        return found
+
+
 def _dedup_block(goals: tuple[Atom, ...], end: int) -> tuple[tuple[Atom, ...], int]:
     uniq = tuple(dict.fromkeys(goals[:end]))  # first occurrences, in order
     return uniq + goals[end:], len(uniq)
 
 
-def _search(schedule, dedup: bool, pool: FreshVars, query: tuple[Atom, ...],
-            depth_limit: int):
+def _search(schedule, indexes: list[_RuleIndex], dedup: bool, pool: FreshVars,
+            query: tuple[Atom, ...], depth_limit: int):
     """Depth-first search for a refutation of ``query`` within
     ``depth_limit`` macro steps.  Returns (steps or None, whether some
     branch hit the limit).
@@ -163,21 +213,25 @@ def _search(schedule, dedup: bool, pool: FreshVars, query: tuple[Atom, ...],
         return [], False
     if depth_limit == 0:
         return None, True
-    programs = [prog for prog, _ in schedule]
     last = len(schedule) - 1
     # A frame: goals, stage, position of the next goal to resolve, goals
-    # left in the stage, macro steps left, the stage's untried rules.
-    stack = [(query, 0, 0, 1, depth_limit, iter(programs[0]))]
+    # left in the stage, macro steps left, the goal's untried candidates.
+    stack = [(query, 0, 0, 1, depth_limit, iter(indexes[0].tries(query[0])))]
     path = []  # the resolution that led to each frame above the first
     exceeded = False
     while stack:
-        goals, stage, pos, left, depth, rules = stack[-1]
-        for rule in rules:
+        goals, stage, pos, left, depth, tries = stack[-1]
+        # Fresh names are drawn as if every rule were renamed in turn.
+        for skipped, rule in tries:
+            if skipped:
+                pool.skip(skipped)
+            if rule is None:
+                break
             variant = rename_fresh(rule, pool)
             res = _resolve_at(goals, pos, variant)
             if res is not None:
                 break
-        else:
+        if rule is None:  # the goal's candidates are spent
             stack.pop()
             if path:
                 path.pop()
@@ -186,11 +240,13 @@ def _search(schedule, dedup: bool, pool: FreshVars, query: tuple[Atom, ...],
         step = (goals, pos, stage, rule, variant, theta, new_goals)
         end = pos + len(variant.body)
         if left > 1:
-            frame = (new_goals, stage, end, left - 1, depth, iter(programs[stage]))
+            frame = (new_goals, stage, end, left - 1, depth,
+                     iter(indexes[stage].tries(new_goals[end])))
         else:
             new_goals, n = _dedup_block(new_goals, end) if dedup else (new_goals, end)
             if n and stage < last:
-                frame = (new_goals, stage + 1, 0, n, depth, iter(programs[stage + 1]))
+                frame = (new_goals, stage + 1, 0, n, depth,
+                         iter(indexes[stage + 1].tries(new_goals[0])))
             elif not new_goals:
                 path.append(step)
                 return [DerivationStep(Query(g), i, schedule[s][1], r, v, th, Query(after))
@@ -199,7 +255,7 @@ def _search(schedule, dedup: bool, pool: FreshVars, query: tuple[Atom, ...],
                 exceeded = True
                 continue
             else:
-                frame = (new_goals, 0, 0, 1, depth - 1, iter(programs[0]))
+                frame = (new_goals, 0, 0, 1, depth - 1, iter(indexes[0].tries(new_goals[0])))
         path.append(step)
         stack.append(frame)
     return None, exceeded

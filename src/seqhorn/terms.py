@@ -13,35 +13,69 @@ variable, so applying a unifier twice equals applying it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import count
+import re
+from bisect import bisect_left
+from dataclasses import FrozenInstanceError, dataclass
 from operator import is_
 from typing import Iterable, Iterator, Union
+
+
+# Every term knows whether it is ground: variables never are, constants
+# always are, and a compound is when all its arguments are.
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
 
+    ground = False
+
 
 @dataclass(frozen=True)
 class Const:
     name: str
 
+    ground = True
 
-@dataclass(frozen=True)
+
 class Compound:
-    functor: str
-    args: "tuple[Term, ...]"
+    """An immutable compound term ``functor(args...)``.
 
-    # Equality and hashing walk the term with an explicit stack, so they work
-    # at any depth.  The hash equals the one dataclass would generate; it is
-    # computed once per term and cached here.
-    _hash = None
+    Equality and hashing walk the term with an explicit stack, so they work
+    at any depth; the hash is the one a frozen dataclass of the two fields
+    would have, computed once per term and cached.  ``ground`` is computed
+    from the arguments' flags when the term is built, so building a deep
+    term bottom-up never recurses.  The cached fields are slots: a compound
+    has no per-instance ``__dict__``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.args:
+    __slots__ = ("functor", "args", "ground", "_hash")
+    __match_args__ = ("functor", "args")
+
+    def __init__(self, functor: str, args: "tuple[Term, ...]") -> None:
+        if not args:
             raise ValueError("compound terms need at least one argument; use Const")
+        ground = True
+        for a in args:
+            if not a.ground:
+                ground = False
+                break
+        _set_functor(self, functor)
+        _set_args(self, args)
+        _set_ground(self, ground)
+        _set_hash(self, None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Compound, (self.functor, self.args)
+
+    def __repr__(self) -> str:
+        return f"Compound(functor={self.functor!r}, args={self.args!r})"
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -53,6 +87,13 @@ class Compound:
     def __hash__(self) -> int:
         h = self._hash
         return _cache_hashes(self) if h is None else h
+
+
+# The slots' own setters, which bypass the frozen ``__setattr__``.
+_set_functor = Compound.functor.__set__
+_set_args = Compound.args.__set__
+_set_ground = Compound.ground.__set__
+_set_hash = Compound._hash.__set__
 
 
 Term = Union[Var, Const, Compound]
@@ -87,7 +128,7 @@ def _cache_hashes(t: Compound) -> int:
                 stack.append(a)
         if len(stack) == height:
             stack.pop()
-            node.__dict__["_hash"] = hash((node.functor, node.args))
+            _set_hash(node, hash((node.functor, node.args)))
     return t._hash
 
 
@@ -119,18 +160,19 @@ def atom(pred: str, *args: Term) -> Atom:
 
 def _var_names(terms: tuple[Term, ...]) -> list[str]:
     """Names of the variables in ``terms``, left to right, repeats included.
-    Compound terms are walked on an explicit stack, so any depth works."""
+    Ground subterms are skipped; the others are walked on an explicit
+    stack, so any depth works."""
     names = []
     for t in terms:
         if isinstance(t, Var):
             names.append(t.name)
-        elif isinstance(t, Compound):
+        elif not t.ground:
             todo = [t]
             while todo:
                 t = todo.pop()
                 if isinstance(t, Var):
                     names.append(t.name)
-                elif isinstance(t, Compound):
+                elif not t.ground:
                     todo += t.args[::-1]
     return names
 
@@ -149,7 +191,7 @@ def atom_vars(a: Atom, acc: set[str] | None = None) -> set[str]:
     for t in a.args:
         if isinstance(t, Var):
             acc.add(t.name)
-        elif isinstance(t, Compound):
+        elif not t.ground:
             acc.update(_var_names(t.args))
     return acc
 
@@ -165,17 +207,17 @@ def atom_var_order(a: Atom, seen: dict[str, None]) -> None:
     for t in a.args:
         if isinstance(t, Var):
             seen.setdefault(t.name)
-        elif isinstance(t, Compound):
+        elif not t.ground:
             for name in _var_names(t.args):
                 seen.setdefault(name)
 
 
 def term_is_ground(t: Term) -> bool:
-    return not _var_names((t,))
+    return t.ground
 
 
 def atom_is_ground(a: Atom) -> bool:
-    return not _var_names(a.args)
+    return all(t.ground for t in a.args)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +227,13 @@ def atom_is_ground(a: Atom) -> bool:
 def subst_term(t: Term, s: Subst) -> Term:
     """``t`` with every variable bound in ``s`` replaced by its value.
 
-    Subterms that ``s`` leaves unchanged are shared with ``t``, not copied.
-    The walk keeps its own stack, so terms of any depth work.
+    Subterms that ``s`` leaves unchanged, ground ones among them, are shared
+    with ``t``, not copied or walked.  The walk keeps its own stack, so
+    terms of any depth work.
     """
     if isinstance(t, Var):
         return s.get(t.name, t)
-    if not s or not isinstance(t, Compound):
+    if not s or t.ground:
         return t
     stack = []  # (compound, index of its next argument, arguments done)
     node, i, done = t, 0, []
@@ -199,13 +242,13 @@ def subst_term(t: Term, s: Subst) -> Term:
         while i < len(args):
             a = args[i]
             i += 1
-            if isinstance(a, Var):
+            if a.ground:
+                done.append(a)
+            elif isinstance(a, Var):
                 done.append(s.get(a.name, a))
-            elif isinstance(a, Compound):
+            else:
                 stack.append((node, i, done))
                 node, i, done, args = a, 0, [], a.args
-            else:
-                done.append(a)
         if not all(map(is_, done, args)):
             node = Compound(node.functor, tuple(done))
         if not stack:
@@ -226,7 +269,7 @@ def subst_atom(a: Atom, s: Subst) -> Atom:
 
 
 def _occurs(name: str, t: Term) -> bool:
-    return isinstance(t, Compound) and name in _var_names(t.args)
+    return isinstance(t, Compound) and not t.ground and name in _var_names(t.args)
 
 
 def _unify_args(xs: tuple[Term, ...], ys: tuple[Term, ...], s: Subst) -> bool:
@@ -294,6 +337,9 @@ def unify_pairs(pairs: Iterable[tuple[Atom, Atom]]) -> Subst | None:
 # ---------------------------------------------------------------------------
 # Fresh variable names
 
+_POOL_NAME = re.compile(r"_G[1-9][0-9]*")  # the names a pool hands out
+
+
 class FreshVars:
     """Per-computation source of variable names unused anywhere else.
 
@@ -303,17 +349,28 @@ class FreshVars:
     """
 
     def __init__(self, avoid: Iterable[str] = ()) -> None:
-        self._avoid = set(avoid)
-        self._counter = count(1)
+        # The numbers n whose name _Gn is avoided, in increasing order.
+        self._taken = sorted(int(name[2:]) for name in set(avoid) if _POOL_NAME.fullmatch(name))
+        self._next = 1
 
     def __iter__(self) -> Iterator[str]:
         return self
 
     def __next__(self) -> str:
-        while True:
-            name = f"_G{next(self._counter)}"
-            if name not in self._avoid:
-                return name
+        self.skip(1)
+        return f"_G{self._next - 1}"
+
+    def skip(self, k: int) -> None:
+        """Pass over ``k`` names, exactly as ``k`` calls of ``next`` would."""
+        lo, hi = self._next, self._next + k
+        taken = self._taken
+        while taken:
+            # Each avoided number in [lo, hi) pushes the end one further.
+            extra = bisect_left(taken, hi) - bisect_left(taken, lo)
+            if not extra:
+                break
+            lo, hi = hi, hi + extra
+        self._next = hi
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """SLD resolution and translated derivations."""
 
 import random
+import sys
 
 import pytest
 
@@ -204,6 +205,128 @@ def test_pinned_trace(append, member, query, shortest):
     assert d.outcome == REFUTATION
     steps = [(rule_to_text(s.variant), goals_to_text(s.query_after.goals)) for s in d.steps]
     assert steps == _PINNED_TRACES[query, shortest]
+
+
+# Traces whose fresh names depend on how many rules each step passes over:
+# predicates interleaved in program order, goals whose first argument clashes
+# with some heads' (nat(0) against nat(s(_)), [] against [H|T]), and a query
+# whose own variables are named like the pool's, so that the pool skips them.
+_INTERLEAVED = """
+    p(X) :- q(X), r(X).
+    q(a).
+    r(X) :- s(X, Y), t(Y).
+    p(Y) :- q(Y), s(Y, Y).
+    q(b) :- r(b).
+    s(X, b) :- t(X).
+    t(a).
+    s(a, c).
+    t(b).
+"""
+
+_PINNED_PROGRAM_TRACES = {
+    ("interleaved", "?- p(Z), s(Z, W).", False): [
+        ("p(_G1) :- q(_G1), r(_G1).", "q(_G1), r(_G1), s(_G1,W)"),
+        ("q(a).", "r(a), s(a,W)"),
+        ("r(_G4) :- s(_G4,_G5), t(_G5).", "s(a,_G5), t(_G5), s(a,W)"),
+        ("s(_G10,b) :- t(_G10).", "t(a), t(b), s(a,W)"),
+        ("t(a).", "t(b), s(a,W)"),
+        ("t(b).", "s(a,W)"),
+        ("s(_G25,b) :- t(_G25).", "t(a)"),
+        ("t(a).", ""),
+    ],
+    ("interleaved", "?- p(Z), s(Z, W).", True): [
+        ("p(_G261) :- q(_G261), r(_G261).", "q(_G261), r(_G261), s(_G261,W)"),
+        ("q(a).", "r(a), s(a,W)"),
+        ("r(_G264) :- s(_G264,_G265), t(_G265).", "s(a,_G265), t(_G265), s(a,W)"),
+        ("s(_G270,b) :- t(_G270).", "t(a), t(b), s(a,W)"),
+        ("t(a).", "t(b), s(a,W)"),
+        ("t(b).", "s(a,W)"),
+        ("s(a,c).", ""),
+    ],
+    ("nat+append", "?- append(X,[c],[a,b,c]), nat(s(s(0))), append([a],Y,[a|X]).", False): [
+        ("append([_G3|_G4],_G5,[_G6|_G7]) :- append(_G4,_G5,_G7).",
+         "append(_G4,[c],[b,c]), nat(s(s(0))), append([a],Y,[a,_G3|_G4])"),
+        ("append([_G10|_G11],_G12,[_G13|_G14]) :- append(_G11,_G12,_G14).",
+         "append(_G11,[c],[c]), nat(s(s(0))), append([a],Y,[a,_G3,_G10|_G11])"),
+        ("append([],_G16,_G16).", "nat(s(s(0))), append([a],Y,[a,_G3,_G10])"),
+        ("nat(s(_G17)) :- nat(_G17).", "nat(s(0)), append([a],Y,[a,_G3,_G10])"),
+        ("nat(s(_G18)) :- nat(_G18).", "nat(0), append([a],Y,[a,_G3,_G10])"),
+        ("nat(0).", "append([a],Y,[a,_G3,_G10])"),
+        ("append([_G21|_G22],_G23,[_G24|_G25]) :- append(_G22,_G23,_G25).",
+         "append([],_G23,[_G3,_G10])"),
+        ("append([],_G27,_G27).", ""),
+    ],
+    ("nat+append", "?- nat(s(N)), append(L,[N],[a,s(0)]).", True): [
+        ("nat(s(_G99)) :- nat(_G99).", "nat(_G99), append(L,[_G99],[a,s(0)])"),
+        ("nat(s(_G121)) :- nat(_G121).", "nat(_G121), append(L,[s(_G121)],[a,s(0)])"),
+        ("nat(0).", "append(L,[s(0)],[a,s(0)])"),
+        ("append([_G124|_G125],_G126,[_G127|_G128]) :- append(_G125,_G126,_G128).",
+         "append(_G125,[s(0)],[s(0)])"),
+        ("append([],_G130,_G130).", ""),
+    ],
+    ("append+member", "?- append(_G2,_G5,[a,b]), member(b,_G5).", False): [
+        ("append([],_G1,_G1).", "member(b,[a,b])"),
+        ("member(_G12,[_G13|_G14]) :- member(_G12,_G14).", "member(b,[b])"),
+        ("member(_G21,[_G21|_G22]).", ""),
+    ],
+    ("append+member", "?- append(_G2,_G5,[a,b]), member(b,_G5).", True): [
+        ("append([],_G47,_G47).", "member(b,[a,b])"),
+        ("member(_G56,[_G57|_G58]) :- member(_G56,_G58).", "member(b,[b])"),
+        ("member(_G65,[_G65|_G66]).", ""),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, query, shortest", list(_PINNED_PROGRAM_TRACES),
+                         ids=[f"{name}-{'shortest' if s else 'first'}"
+                              for name, _, s in _PINNED_PROGRAM_TRACES])
+def test_pinned_trace_by_program(append, member, nat, name, query, shortest):
+    programs = {"interleaved": parse_program(_INTERLEAVED),
+                "nat+append": Program(list(nat) + list(append)),
+                "append+member": Program(list(append) + list(member))}
+    d = sld(programs[name], parse_query(query), shortest=shortest)
+    assert d.outcome == REFUTATION
+    steps = [(rule_to_text(s.variant), goals_to_text(s.query_after.goals)) for s in d.steps]
+    assert steps == _PINNED_PROGRAM_TRACES[name, query, shortest]
+
+
+def test_pinned_translated_trace(append, q_member_append, s_member_append):
+    # the prefix's member fact clashes with c at every macro step but the last
+    d = translated_sld(q_member_append, append, s_member_append,
+                       parse_query("?- member(c,[a,b,c])."))
+    assert d.outcome == REFUTATION
+    steps = [(s.phase, rule_to_text(s.variant), goals_to_text(s.query_after.goals))
+             for s in d.steps]
+    assert steps == [
+        ("Q", "member(_G3,[_G4|_G5]) :- append([_G4|_G5],_G3,[_G4|_G5]).",
+         "append([a,b,c],c,[a,b,c])"),
+        ("R", "append([_G7|_G8],_G9,[_G10|_G11]) :- append(_G8,_G9,_G11).",
+         "append([b,c],c,[b,c])"),
+        ("S", "append(_G12,_G13,_G14) :- member(_G13,_G12).", "member(c,[b,c])"),
+        ("Q", "member(_G17,[_G18|_G19]) :- append([_G18|_G19],_G17,[_G18|_G19]).",
+         "append([b,c],c,[b,c])"),
+        ("R", "append([_G21|_G22],_G23,[_G24|_G25]) :- append(_G22,_G23,_G25).",
+         "append([c],c,[c])"),
+        ("S", "append(_G26,_G27,_G28) :- member(_G27,_G26).", "member(c,[c])"),
+        ("Q", "member(_G29,[_G29|_G30]).", ""),
+    ]
+
+
+@pytest.mark.parametrize("unrelated", [0, 200, 400])
+def test_only_candidate_rules_are_renamed(append, monkeypatch, unrelated):
+    # each of the 151 steps renames the one append rule whose first argument
+    # fits the goal's, whatever rules come before it
+    module = sys.modules["seqhorn.sld"]  # the package's name sld is the function
+    renamed = []
+    rename = module.rename_fresh
+    monkeypatch.setattr(module, "rename_fresh",
+                        lambda r, pool: renamed.append(r) or rename(r, pool))
+    noise = "".join(f"u{i}(X) :- v{i}(X).\n" for i in range(unrelated))
+    p = Program(list(parse_program(noise)) + list(append))
+    xs = ",".join(f"k{i}" for i in range(150))
+    d = sld(p, parse_query(f"?- append([{xs}],[m1,m2],[{xs},m1,m2])."))
+    assert d.outcome == REFUTATION and len(d.steps) == 151
+    assert len(renamed) == 151
 
 
 class TestTranslatedSld:

@@ -516,3 +516,71 @@ def test_subst_term_shares_unchanged_subterms():
 def test_compound_requires_args():
     with pytest.raises(ValueError):
         Compound("f", ())
+
+
+def _naive_ground(t) -> bool:
+    if isinstance(t, Var):
+        return False
+    return isinstance(t, Const) or all(_naive_ground(a) for a in t.args)
+
+
+class TestGroundness:
+    @settings(max_examples=300, deadline=None)
+    @given(_keyed_term_strategy)
+    def test_flag_matches_a_walk(self, t):
+        assert t.ground == term_is_ground(t) == _naive_ground(t)
+        if t.ground:
+            assert subst_term(t, {"X": Const("a"), "Y": Compound("f", (Var("X"),))}) is t
+
+    def test_deep_numeral_flag(self):
+        # built bottom-up, each node reads only its argument's flag
+        n, x = Const("0"), Var("X")
+        for _ in range(TestDeepTerms.N):
+            n, x = Compound("s", (n,)), Compound("s", (x,))
+        assert n.ground and not x.ground
+        assert subst_term(n, {"X": Const("a")}) is n
+
+    def test_hash_equality_and_repr_as_a_frozen_dataclass(self):
+        t = Compound("f", (Const("a"), Var("X")))
+        assert hash(t) == hash(("f", (Const("a"), Var("X"))))
+        assert t == Compound("f", (Const("a"), Var("X"))) != Compound("f", (Const("a"),))
+        assert t != ("f", (Const("a"), Var("X")))
+        assert repr(t) == "Compound(functor='f', args=(Const(name='a'), Var(name='X')))"
+
+    def test_slots_and_immutability(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        t = Compound("f", (Compound("g", (Const("a"),)), Var("X")))
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.functor = "h"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.ground = True
+        for clone in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert clone == t and hash(clone) == hash(t) and not clone.ground
+
+
+class TestFreshVarsSkip:
+    # _G05 and _G٥ spell 5 otherwise than the pool does, so they block nothing
+    AVOID = {"_G2", "_G5", "_G6", "_G9", "_G05", "_G٥", "_G", "_Gx", "X"}
+
+    @pytest.mark.parametrize("start", [0, 1, 4])
+    def test_skip_equals_next_calls(self, start):
+        for k in range(12):
+            skipped, stepped = FreshVars(self.AVOID), FreshVars(self.AVOID)
+            for pool in (skipped, stepped):
+                for _ in range(start):
+                    next(pool)
+            skipped.skip(k)
+            for _ in range(k):
+                next(stepped)
+            assert [next(skipped) for _ in range(8)] == [next(stepped) for _ in range(8)]
+
+    def test_names_avoided(self):
+        pool = FreshVars(self.AVOID)
+        assert [next(pool) for _ in range(6)] == ["_G1", "_G3", "_G4", "_G7", "_G8", "_G10"]
+        pool = FreshVars(["_G2", "_G2", "_G3"])  # a repeated name blocks one name
+        pool.skip(2)
+        assert next(pool) == "_G5"
