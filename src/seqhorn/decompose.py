@@ -159,6 +159,13 @@ def search_reduction(p: Program, r: Program,
     where the budget is checked (once per combination of base heads, the
     empty one included, and once per assembly node entered) are those of a
     full recomposition.
+
+    Options that give the same mid rules with the same suffix are
+    interchangeable: the assembly grows the same subtree from each.  Only
+    the first of each class in the assembly's order is generated, so the
+    first certificate found is the one the full order gives, and the
+    combinations of base heads leave out heads that cannot change the mid
+    rules (base facts, and repeats of a head's only body).
     """
     if width_blocks(p, r):
         return SearchResult(NOT_FOUND, exhaustive=True)
@@ -182,6 +189,20 @@ def search_reduction(p: Program, r: Program,
     exhaustive = max_body >= len(r_heads) and all(not a.args for a in atoms)
     clipped = {bmask for _, bmask in p_rules if bmask.bit_count() > max_body}
 
+    # A base head whose only body is w adds w to every union, so a second
+    # head with the same only body adds nothing more, and neither does a
+    # base fact (w = 0).  The least beta of each class below holds none of
+    # them, so beta ranges over the other heads.
+    singles = {0}
+    free_heads = []
+    for c in r_heads:
+        bodies = by_head_r[c]
+        if len(bodies) == 1:
+            if bodies[0] in singles:
+                continue
+            singles.add(bodies[0])
+        free_heads.append(c)
+
     # Per-rule options: (prefix_rule, frozenset of suffix rules) pairs that
     # can reproduce the rule and leak nothing with this head, in the order
     # the assembly tries them.  mid_rules holds the rules q o R, as (head,
@@ -190,41 +211,32 @@ def search_reduction(p: Program, r: Program,
     mid_rules: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
     for h, bmask in p_rules:
         targets = targets_by_head[h]
-        options: list[tuple[tuple[int, int], frozenset[tuple[int, int]]]] = []
         body_atoms = list(_bits(bmask))
         allowed_w = [sum(1 << c for c in ws)
                      for size in range(min(max_body, len(body_atoms)) + 1)
                      for ws in combinations(body_atoms, size)]
-        # The empty beta gives the fact option (h, 0) of a fact h.
-        for size in range(min(max_body, len(r_heads)) + 1):
-            for beta in combinations(r_heads, size):
+        # The prefix rules h :- beta with the same mid bodies form one class
+        # of interchangeable values (Freuder, AAAI 1991): its suffixes are
+        # found once, and its options use its least beta, the one the sort
+        # below puts first.  The empty beta gives the fact option (h, 0) of
+        # a fact h.
+        classes: dict[frozenset[int], list] = {}
+        for size in range(min(max_body, len(free_heads)) + 1):
+            for beta in combinations(free_heads, size):
                 beta_mask = sum(1 << b for b in beta)
-                mids = _unions(beta_mask, by_head_r)
-                n_options = len(options)
-                for mid in mids:
-                    mid_atoms = list(_bits(mid))
-                    # With one suffix rule (c, w_c) per c in mid, the
-                    # candidate emits (h, union of w_c for c in m) for each
-                    # m <= mid in mids: (h, bmask) itself for m = mid, and
-                    # possible leaks for the smaller ones.  A mid of 0 is a
-                    # fact: an option, with no suffix rule, when h is one.
-                    inner = [m for m in mids if m & mid == m and m != mid]
-                    for ws in product(allowed_w, repeat=len(mid_atoms)):
-                        u = 0
-                        for w in ws:
-                            u |= w
-                        if u != bmask:
-                            continue
-                        suffix = frozenset(zip(mid_atoms, ws))
-                        if inner:
-                            by_head_s = {c: (w,) for c, w in suffix}
-                            if any(not _unions(m, by_head_s) <= targets for m in inner):
-                                continue
-                        options.append(((h, beta_mask), suffix))
-                if len(options) > n_options:
-                    mid_rules[h, beta_mask] = frozenset((h, m) for m in mids)
+                mids = frozenset(_unions(beta_mask, by_head_r))
+                cls = classes.get(mids)
+                if cls is None:
+                    classes[mids] = [beta_mask, _suffixes(mids, allowed_w, bmask, targets)]
+                elif beta_mask < cls[0]:
+                    cls[0] = beta_mask
                 if clock.expired():
                     return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
+        options: list[tuple[tuple[int, int], frozenset[tuple[int, int]]]] = []
+        for mids, (beta_mask, suffixes) in classes.items():
+            if suffixes:
+                mid_rules[h, beta_mask] = frozenset((h, m) for m in mids)
+                options += [((h, beta_mask), suffix) for suffix in suffixes]
         if not options:
             return SearchResult(NOT_FOUND, exhaustive=exhaustive and bmask not in clipped,
                                 elapsed=clock.elapsed)
@@ -277,6 +289,33 @@ def search_reduction(p: Program, r: Program,
                                 elapsed=clock.elapsed)
     return SearchResult(NOT_FOUND, exhaustive=exhaustive and not clipped,
                         elapsed=clock.elapsed)
+
+
+def _suffixes(mids, allowed_w, bmask, targets):
+    """The suffixes, as frozensets of (head, body) pairs, with which a prefix
+    rule whose mid bodies are ``mids`` emits the target body ``bmask`` and
+    no body outside ``targets``; each suffix body is one of ``allowed_w``."""
+    out = []
+    for mid in mids:
+        mid_atoms = list(_bits(mid))
+        # With one suffix rule (c, w_c) per c in mid, the candidate emits
+        # (h, union of w_c for c in m) for each m <= mid in mids: (h, bmask)
+        # itself for m = mid, and possible leaks for the smaller ones.  A mid
+        # of 0 is a fact: a suffix with no rule, when h is one.
+        inner = [m for m in mids if m & mid == m and m != mid]
+        for ws in product(allowed_w, repeat=len(mid_atoms)):
+            u = 0
+            for w in ws:
+                u |= w
+            if u != bmask:
+                continue
+            suffix = frozenset(zip(mid_atoms, ws))
+            if inner:
+                by_head_s = {c: (w,) for c, w in suffix}
+                if any(not _unions(m, by_head_s) <= targets for m in inner):
+                    continue
+            out.append(suffix)
+    return out
 
 
 def _extend(node, option, mid_rules, targets_by_head):
