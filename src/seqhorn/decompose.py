@@ -18,7 +18,7 @@ on any programs).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 from .compose import compose
@@ -154,7 +154,14 @@ def search_reduction(p: Program, r: Program,
     with its own suffix, and a step of the assembly only on the mid rules
     that step adds and on the old ones whose body meets the head of a
     suffix rule it adds; everything else was inside the target at the step
-    before.  The test gives the verdict of composing the whole assembly,
+    before.  The assembly is one mutable state, its mid rules, suffix
+    bodies by head and an index from each atom to the mid rules whose body
+    holds it; a step records what it added on a trail, and backtracking
+    removes exactly that.  Each node keeps a memo of the rejections it
+    decided: a prefix rule whose new mid rules leak with the node's suffix,
+    or a suffix rule that leaks on one new mid rule, rejects every later
+    option holding it, because a leak of part of an option is a leak of the
+    option.  The test gives the verdict of composing the whole assembly,
     so the options, the order of the depth-first assembly and the points
     where the budget is checked (once per combination of base heads, the
     empty one included, and once per assembly node entered) are those of a
@@ -203,11 +210,11 @@ def search_reduction(p: Program, r: Program,
             singles.add(bodies[0])
         free_heads.append(c)
 
-    # Per-rule options: (prefix_rule, frozenset of suffix rules) pairs that
+    # Per-rule options: (prefix_rule, tuple of suffix rules) pairs that
     # can reproduce the rule and leak nothing with this head, in the order
     # the assembly tries them.  mid_rules holds the rules q o R, as (head,
     # body) pairs, for each prefix rule q of an option.
-    all_options: list[list[tuple[tuple[int, int], frozenset[tuple[int, int]]]]] = []
+    all_options: list[list[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]] = []
     mid_rules: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
     for h, bmask in p_rules:
         targets = targets_by_head[h]
@@ -232,7 +239,7 @@ def search_reduction(p: Program, r: Program,
                     cls[0] = beta_mask
                 if clock.expired():
                     return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
-        options: list[tuple[tuple[int, int], frozenset[tuple[int, int]]]] = []
+        options: list[tuple[tuple[int, int], tuple[tuple[int, int], ...]]] = []
         for mids, (beta_mask, suffixes) in classes.items():
             if suffixes:
                 mid_rules[h, beta_mask] = frozenset((h, m) for m in mids)
@@ -242,47 +249,56 @@ def search_reduction(p: Program, r: Program,
                                 elapsed=clock.elapsed)
         # The key is unique per option, so the order does not depend on the
         # order the options were generated in.
-        options.sort(key=lambda o: (len(o[1]), o[0], tuple(sorted(o[1]))))
+        options.sort(key=lambda o: (len(o[1]), o[0], o[1]))
         all_options.append(options)
 
-    # Combine one option per rule by depth-first assembly, on an explicit
-    # stack of (node, untried options); chosen[i] is the option that made
-    # the node at depth i + 1.  A node is (mid rules of prefix o R, suffix
-    # bodies by head).  Emissions are monotone in both the prefix and the
-    # suffix (more rules only add emissions), so a partial assembly that
-    # already leaks outside P prunes its whole subtree, and a completed
-    # assembly that never leaked reproduces every rule by construction.
-    # Every emission of a node is in P, so _extend tests only the mid rules
-    # a child adds and the old ones whose body meets the head of a suffix
-    # rule it adds.  The verdict is that of composing the whole trial
-    # assembly, so the nodes visited and the budget checks made (one per
-    # node entered) are too.
-    node = (frozenset(), {})
+    # Combine one option per rule by depth-first assembly.  Emissions are
+    # monotone in both the prefix and the suffix (more rules only add
+    # emissions), so a partial assembly that already leaks outside P prunes
+    # its whole subtree, and a completed assembly that never leaked
+    # reproduces every rule by construction.  mids, by_head_s and by_atom
+    # hold the current node; trail[i] is what _step added to make the node
+    # at depth i + 1 (the WAM's trail, Ait-Kaci 1991), and each frame of the
+    # stack holds its node's untried options and rejection memo.
+    mids: set[tuple[int, int]] = set()
+    by_head_s: dict[int, list[int]] = {}
+    by_atom: dict[int, list[tuple[int, int]]] = {}
     stack = []
-    chosen = []
-    while node is not None:
+    trail = []
+    entered = True
+    while entered:
         if clock.expired():
             return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
         if len(stack) == len(all_options):
             break
-        stack.append((node, iter(all_options[len(stack)])))
-        node = None
+        stack.append((iter(all_options[len(stack)]), {}))
+        entered = False
         # the next child that does not leak, backtracking past exhausted nodes
-        while node is None and stack:
-            parent, untried = stack[-1]
+        while not entered and stack:
+            untried, memo = stack[-1]
             for option in untried:
-                node = _extend(parent, option, mid_rules, targets_by_head)
-                if node is not None:
-                    chosen[len(stack) - 1:] = [option]
+                step = _step(option, memo, mids, by_head_s, by_atom, mid_rules,
+                             targets_by_head)
+                if step is not None:
+                    trail.append(step)
+                    entered = True
                     break
             else:
                 stack.pop()
-    if node is not None:
+                if trail:
+                    _, new, added = trail.pop()
+                    for gm in new:
+                        mids.remove(gm)
+                        for c in _bits(gm[1]):
+                            by_atom[c].pop()
+                    for c, _ in added:
+                        by_head_s[c].pop()
+    if entered:
         cert = ReductionCertificate(
             target=p,
             base=r,
-            prefix=_program_from_masks({q for q, _ in chosen}, atoms),
-            suffix=_program_from_masks(set().union(*(s for _, s in chosen)), atoms),
+            prefix=_program_from_masks({q for (q, _), _, _ in trail}, atoms),
+            suffix=_program_from_masks({sr for (_, s), _, _ in trail for sr in s}, atoms),
         )
         if verify(cert):
             return SearchResult(FOUND, cert, exhaustive=False,
@@ -292,9 +308,10 @@ def search_reduction(p: Program, r: Program,
 
 
 def _suffixes(mids, allowed_w, bmask, targets):
-    """The suffixes, as frozensets of (head, body) pairs, with which a prefix
-    rule whose mid bodies are ``mids`` emits the target body ``bmask`` and
-    no body outside ``targets``; each suffix body is one of ``allowed_w``."""
+    """The suffixes, as tuples of (head, body) pairs in head order, with
+    which a prefix rule whose mid bodies are ``mids`` emits the target body
+    ``bmask`` and no body outside ``targets``; each suffix body is one of
+    ``allowed_w``."""
     out = []
     for mid in mids:
         mid_atoms = list(_bits(mid))
@@ -309,7 +326,7 @@ def _suffixes(mids, allowed_w, bmask, targets):
                 u |= w
             if u != bmask:
                 continue
-            suffix = frozenset(zip(mid_atoms, ws))
+            suffix = tuple(zip(mid_atoms, ws))
             if inner:
                 by_head_s = {c: (w,) for c, w in suffix}
                 if any(not _unions(m, by_head_s) <= targets for m in inner):
@@ -318,26 +335,53 @@ def _suffixes(mids, allowed_w, bmask, targets):
     return out
 
 
-def _extend(node, option, mid_rules, targets_by_head):
-    """The assembly ``node`` with ``option`` added, or None when that leaks
-    a body outside the target."""
-    mids, by_head_s = node
-    q_rule, suffix = option
-    new_mids = mid_rules[q_rule] - mids
+def _step(option, memo, mids, by_head_s, by_atom, mid_rules, targets_by_head):
+    """Add ``option`` to the assembly in ``mids``, ``by_head_s`` and
+    ``by_atom`` and return what it added, (option, new mid rules, new suffix
+    rules), or return None, changing nothing, when that leaks a body outside
+    the target.  ``memo`` is the current node's: for each prefix rule, its
+    new mid rules and whether they leak with the node's suffix, and for
+    each new mid rule g :- m and new suffix rule (c, w) with c in m, whether
+    the node's suffix with (c, w) added leaks on it."""
+    q, suffix = option
+    known = memo.get(q)
+    if known is None:
+        new = [gm for gm in mid_rules[q] if gm not in mids]
+        known = memo[q] = new, any(not _unions(m, by_head_s) <= targets_by_head[g]
+                                   for g, m in new)
+    new, leaks = known
+    if leaks:
+        return None
     added = [(c, w) for c, w in suffix if w not in by_head_s.get(c, ())]
-    nby = by_head_s
-    new_heads = 0
+    for c, w in added:
+        ws = by_head_s.setdefault(c, [])
+        for g, m in new:
+            if m >> c & 1:
+                key = g, m, c, w
+                leaks = memo.get(key)
+                if leaks is None:
+                    ws.append(w)
+                    leaks = memo[key] = not _unions(m, by_head_s) <= targets_by_head[g]
+                    ws.pop()
+                if leaks:
+                    return None
     if added:
-        nby = dict(by_head_s)
+        heads = 0
         for c, w in added:
-            nby[c] = nby.get(c, ()) + (w,)
-            new_heads |= 1 << c
-    if any(not _unions(m, nby) <= targets_by_head[g] for g, m in new_mids):
-        return None
-    if new_heads and any(not _unions(m, nby) <= targets_by_head[g]
-                         for g, m in mids if m & new_heads):
-        return None
-    return mids | new_mids, nby
+            by_head_s[c].append(w)
+            heads |= 1 << c
+        met = [gm for gm in new if gm[1] & heads]
+        for c, _ in added:
+            met += by_atom.get(c, ())
+        if any(not _unions(m, by_head_s) <= targets_by_head[g] for g, m in met):
+            for c, _ in added:
+                by_head_s[c].pop()
+            return None
+    for gm in new:
+        mids.add(gm)
+        for c in _bits(gm[1]):
+            by_atom.setdefault(c, []).append(gm)
+    return option, new, added
 
 
 def _mask(rule: Rule, index: dict[Atom, int]) -> int:
@@ -386,9 +430,16 @@ def similar(p: Program, r: Program,
             bounds: SearchBounds = SearchBounds()) -> SimilarityResult:
     """Decide similarity by searching both directions; each direction's
     evidence is attached.  Strict outcomes require the failing direction to
-    be definitive (exhaustive bounds or the width obstruction)."""
+    be definitive (exhaustive bounds or the width obstruction).  Equal
+    programs are searched once: the search reads only their sorted rules
+    and atoms, so the backward search would repeat the forward one."""
     fwd = search_reduction(p, r, bounds)
-    bwd = search_reduction(r, p, bounds)
+    if p == r:
+        cert = (None if fwd.certificate is None
+                else replace(fwd.certificate, target=r, base=p))
+        bwd = SearchResult(fwd.status, cert, fwd.exhaustive, fwd.elapsed)
+    else:
+        bwd = search_reduction(r, p, bounds)
     if fwd.found and bwd.found:
         outcome = SIMILAR
     elif fwd.found and bwd.status == NOT_FOUND and bwd.exhaustive:

@@ -1,6 +1,7 @@
 """Reduction certificates, bounded search and similarity."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,8 @@ def atoms(*names):
 
 
 PI = parse_program("a :- b.\nb :- a.")
+# similar-self-14 of the benchmark's search workload, seed 1
+_SELF_14 = "a42 :- a36, a42.\na42 :- a58.\na9 :- a9, a42.\na58 :- a58, a36."
 P_SWAP = parse_program("c.\na :- b, c.\nb :- a, c.")
 
 
@@ -203,6 +206,22 @@ class TestSearchReduction:
         assert result.certificate.prefix == p
         assert result.certificate.suffix == Program()
 
+    def test_fact_target_grows_linearly(self):
+        # Copying the assembly's mid rules at every node made this family
+        # quadratic: 6000 facts took over 20 times as long as 1500.
+        r = parse_program("b :- c.")
+
+        def best_of_3(n):
+            p = Program(make_rule(Atom(f"a{i}"), ()) for i in range(n))
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                search_reduction(p, r)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_of_3(6000) < 8 * best_of_3(1500)
+
     @pytest.mark.parametrize("max_body,time_budget", [(-1, 1.0), (1, -1.0), (1, float("nan"))],
                              ids=["negative-max-body", "negative-budget", "nan-budget"])
     def test_invalid_bounds_rejected(self, max_body, time_budget):
@@ -254,6 +273,17 @@ class _CountingClock:
         return self.checks > self.limit
 
 
+@pytest.fixture
+def counting_clock(monkeypatch):
+    """Puts searches on ``_CountingClock``; returns the list its instances
+    are appended to."""
+    import seqhorn.decompose
+
+    monkeypatch.setattr(seqhorn.decompose, "_Clock", _CountingClock)
+    monkeypatch.setattr(_CountingClock, "instances", [])
+    return _CountingClock.instances
+
+
 def _pinned_pair(seed):
     # Even seeds: two random 4-rule programs; odd seeds: a target planted
     # as (Q o R) o S with at least two rules.
@@ -278,7 +308,8 @@ def _pinned_pair(seed):
 # under a budget of 200 checks.  The benchmark runs searches on a step clock
 # like _CountingClock, so these counts decide its verdicts.  Seeds 22 to 114
 # are here because a leak test that skips the old mid rules reached by a new
-# suffix rule gets them wrong.
+# suffix rule gets them wrong.  Seeds 116 to 508 reject over 90% of the
+# options the assembly tries.
 _PINNED_SEARCHES = [
     (0, FOUND, False, 13, '% PREFIX\nc :- a.\nd.\ne.\n\n% SUFFIX\nb.\nc :- c.\nc :- d, e.\n'),
     (1, FOUND, False, 21, '% PREFIX\na.\na :- a.\nd.\nd :- a.\n\n% SUFFIX\na :- a.\n'),
@@ -302,22 +333,22 @@ _PINNED_SEARCHES = [
     (70, NOT_FOUND, True, 32, None),
     (72, FOUND, False, 21, '% PREFIX\nb :- a.\nc.\nc :- c.\nd.\n\n% SUFFIX\na :- c.\nb :- b.\n'),
     (114, BUDGET_EXCEEDED, False, 201, None),
+    (116, NOT_FOUND, True, 120, None),
+    (196, NOT_FOUND, True, 46, None),
+    (496, FOUND, False, 38, '% PREFIX\nc :- e.\nd :- c.\ne :- d.\nf.\n\n% SUFFIX\na :- b, f.\nb :- a.\nd :- b, e.\nf.\n'),
+    (508, FOUND, False, 75, '% PREFIX\na.\na :- a.\nc :- c.\nf :- e.\n\n% SUFFIX\nc :- d.\nd :- f.\ne.\nf :- e.\n'),
 ]
 
 
 class TestPinnedSearches:
     @pytest.mark.parametrize("seed,status,exhaustive,checks,cert", _PINNED_SEARCHES,
                              ids=[f"seed{c[0]}" for c in _PINNED_SEARCHES])
-    def test_outcome_and_budget_checks(self, monkeypatch, seed, status, exhaustive,
+    def test_outcome_and_budget_checks(self, counting_clock, seed, status, exhaustive,
                                        checks, cert):
-        import seqhorn.decompose
-
-        monkeypatch.setattr(seqhorn.decompose, "_Clock", _CountingClock)
-        monkeypatch.setattr(_CountingClock, "instances", [])
         p, r = _pinned_pair(seed)
         result = search_reduction(p, r, SearchBounds(time_budget=200))
         assert (result.status, result.exhaustive) == (status, exhaustive)
-        (clock,) = _CountingClock.instances
+        (clock,) = counting_clock
         assert clock.checks == checks
         if cert is None:
             assert result.certificate is None
@@ -327,22 +358,32 @@ class TestPinnedSearches:
             assert verify(result.certificate)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
-    def test_self_reduction_of_facts(self, monkeypatch, n):
+    def test_self_reduction_of_facts(self, counting_clock, n):
         # P = {f0. ... f(n-1). b :- c.} against itself.  The base facts are
         # interchangeable in every prefix body, so each of the n + 1 target
         # rules tries two sets of base heads, the empty one and {b}, and the
         # assembly enters one node per target rule and the finished one.
         # Trying every set of base facts took 4,618 checks at n = 8 and
         # over 100,000 at n = 12.
-        import seqhorn.decompose
-
-        monkeypatch.setattr(seqhorn.decompose, "_Clock", _CountingClock)
-        monkeypatch.setattr(_CountingClock, "instances", [])
         p = parse_program("".join(f"f{i}.\n" for i in range(n)) + "b :- c.")
         result = search_reduction(p, p, SearchBounds(time_budget=200))
         assert result.status == FOUND
-        (clock,) = _CountingClock.instances
+        (clock,) = counting_clock
         assert clock.checks == 3 * n + 4
+        assert verify(result.certificate)
+
+    def test_self_reduction_with_many_rejections(self, counting_clock):
+        # Every depth after the first has 396 options; the assembly tries
+        # about 4,400 of them to enter 48 nodes.
+        p = parse_program(_SELF_14)
+        result = search_reduction(p, p, SearchBounds(time_budget=200))
+        assert result.status == FOUND
+        (clock,) = counting_clock
+        assert clock.checks == 48
+        text = certificate_to_text(result.certificate)
+        assert text[text.index("% PREFIX"):] == (
+            "% PREFIX\na42 :- a42.\na58 :- a58.\na9 :- a9.\n\n"
+            "% SUFFIX\na36 :- a36.\na42 :- a42.\na58 :- a58.\na9 :- a9.\n")
         assert verify(result.certificate)
 
     def test_all_outcomes_pinned(self):
@@ -445,6 +486,16 @@ class TestSimilar:
         r = parse_program("b :- c.")
         assert similar(p, r).outcome == SIMILAR
         assert similar(p, r, SearchBounds(max_body=1)).outcome == INCOMPARABLE
+
+    def test_equal_programs_searched_once(self, counting_clock):
+        p, r = parse_program(_SELF_14), parse_program(_SELF_14)
+        result = similar(p, r, SearchBounds(time_budget=200))
+        assert result.outcome == SIMILAR
+        assert len(counting_clock) == 1
+        assert result.backward.certificate.target is r
+        assert result.backward.certificate.base is p
+        assert verify(result.forward.certificate)
+        assert verify(result.backward.certificate)
 
     def test_incomparable_under_tight_bounds(self):
         p = parse_program("a :- b, c.\nd :- b.")
