@@ -24,7 +24,15 @@ from .decompose import (
     similar,
     verify,
 )
-from .programs import CanonicalFormBudgetError, Program, dual, gnd, signature_of, width
+from .programs import (
+    CanonicalFormBudgetError,
+    GroundingBudgetError,
+    Program,
+    dual,
+    gnd,
+    signature_of,
+    width,
+)
 from .semantics import least_model, tp
 from .sld import render_derivation, sld, translated_sld
 from .syntax import (
@@ -262,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (CompositionBudgetError, CanonicalFormBudgetError) as exc:
+    except (CompositionBudgetError, CanonicalFormBudgetError, GroundingBudgetError) as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

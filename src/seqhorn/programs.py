@@ -100,6 +100,17 @@ class CanonicalFormBudgetError(Exception):
     cap: the CLI reports it with exit status 3)."""
 
 
+class CompositionBudgetError(Exception):
+    """Composing one rule tried more candidates than the composition's
+    ``_ASSIGNMENT_CAP`` (a resource error: the CLI reports it with exit
+    status 3).  A try unifies a goal with a candidate head, either a body
+    atom with its only candidate or, in the SLD macro step that resolves
+    the other atoms, any candidate; tries grow exponentially in body size.
+    The cap does not bound one try's work: unification rewrites every
+    bound value at each binding, so a long body of deeply nested bindings
+    can still be slow."""
+
+
 def _spend(budget: list[int], work: int) -> None:
     budget[0] -= work
     if budget[0] < 0:
@@ -593,8 +604,21 @@ def signature_of(*programs: Program, atoms: Iterable[Atom] = (),
     return Signature(frozenset(preds), frozenset(fns), frozenset(consts))
 
 
+_GROUND_CAP = 100_000  # terms one universe level, or instances one grounding, may build
+
+
+class GroundingBudgetError(Exception):
+    """A grounding would build more than ``_GROUND_CAP`` terms in one level
+    of its universe, or more than ``_GROUND_CAP`` rule instances (a
+    resource error, like the composition cap: the CLI reports it with exit
+    status 3)."""
+
+
 def herbrand_terms(sig: Signature, depth: int) -> list[Term]:
-    """All ground terms of nesting depth <= depth, monotone in depth."""
+    """All ground terms of nesting depth <= depth, monotone in depth.
+
+    Raises ``GroundingBudgetError`` before a level would build more than
+    ``_GROUND_CAP`` compound terms."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if sig.functions and not sig.constants:
@@ -605,6 +629,9 @@ def herbrand_terms(sig: Signature, depth: int) -> list[Term]:
     known: set[Term] = set(all_terms)
     for _ in range(depth):
         prev = list(all_terms)
+        if sum(len(prev) ** n for _, n in sig.functions) > _GROUND_CAP:
+            raise GroundingBudgetError(
+                f"grounding needs over {_GROUND_CAP} terms in one level of its universe")
         new: list[Term] = []
         for f, n in sorted(sig.functions):
             for args in product(prev, repeat=n):
@@ -637,13 +664,17 @@ def gnd(p: Program, sig: Signature | None = None, depth: int = 0) -> Program:
 
     Each instance is canonical as ``subst_rule`` builds it: a ground rule
     has no variables to rename, and its body's deduplicated ``atom_key``
-    order is the canonical one."""
+    order is the canonical one.  Raises ``GroundingBudgetError``, before
+    it builds any instance, when there would be more than ``_GROUND_CAP``
+    of them."""
     if sig is None:
         sig = signature_of(p)
     terms = herbrand_terms(sig, depth)
+    rule_names = [(r, sorted(rule_vars(r))) for r in p]
+    if sum(len(terms) ** len(names) for _, names in rule_names) > _GROUND_CAP:
+        raise GroundingBudgetError(f"grounding needs over {_GROUND_CAP} rule instances")
     out: list[Rule] = []
-    for r in p:
-        names = sorted(rule_vars(r))
+    for r, names in rule_names:
         if not names:
             out.append(r)
             continue

@@ -1,14 +1,17 @@
 """SLD resolution with leftmost selection, plus translated derivations.
 
-One depth-first engine runs both kinds of derivation; they differ only in
-the phase schedule it follows.  Each macro step resolves the leftmost goal
-with a rule of the schedule's first program; every later stage then
-resolves, left to right, each goal the stage before it introduced, with a
-rule of its own program.  The engine keeps its choice points on an explicit
-stack and backtracks over rules in program order.  It tries, and renames
-apart, only the candidate rules for a goal: those whose head has the goal's
-predicate and arity and whose first argument does not clash with the
-goal's, looked up in an index built once per derivation search.  Fresh
+One depth-first engine runs both kinds of derivation, and ``compose`` too;
+they differ only in the phase schedule it follows.  Each macro step
+resolves the leftmost goal with a rule of the schedule's first program;
+every later stage then resolves, left to right, each goal the stage before
+it introduced, with a rule of its own program.  The engine keeps its choice
+points on an explicit stack, backtracks over rules in program order, and
+yields the leaves of its search: refutations, and resolvents at the depth
+limit.  ``compose`` runs it for one macro step whose first stage resolves
+a whole rule body, and reads a composed rule off each leaf.  The engine
+tries, and renames apart, only the candidate rules for a goal: those whose
+head has the goal's predicate and arity and whose first argument does not
+clash with the goal's, looked up in an index built once per search.  Fresh
 names are still drawn as if every rule had been renamed in program order,
 so a trace names its variables exactly as a search that renamed every rule
 would.  The depth limit counts macro steps and does not depend on Python's
@@ -32,10 +35,11 @@ here certifies the native consequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .programs import Program, Rule, rename_fresh, rule_vars
+from .programs import CompositionBudgetError, Program, Rule, rename_fresh, rule_vars
 from .terms import Atom, Const, FreshVars, Subst, Var, atom_vars, subst_atom, unify
 
 REFUTATION = "refutation"
@@ -83,15 +87,11 @@ def query_vars(q: Query) -> set[str]:
     return acc
 
 
-def _resolve_at(goals: tuple[Atom, ...], index: int, variant: Rule):
-    theta = unify(goals[index], variant.head)
-    if theta is None:
-        return None
-    new_goals = tuple(
-        subst_atom(a, theta)
-        for a in goals[:index] + variant.body + goals[index + 1:]
-    )
-    return new_goals, theta
+def _resolvent(goals: tuple[Atom, ...], index: int, body: tuple[Atom, ...],
+               theta: Subst) -> tuple[Atom, ...]:
+    """``goals`` with the one at ``index`` replaced by ``body``, under ``theta``."""
+    goals = goals[:index] + body + goals[index + 1:]
+    return tuple(subst_atom(a, theta) for a in goals) if theta else goals
 
 
 def resolve(q: Query, r: Rule):
@@ -103,11 +103,10 @@ def resolve(q: Query, r: Rule):
     """
     if q.is_empty:
         raise ValueError("cannot resolve the empty query")
-    res = _resolve_at(q.goals, 0, r)
-    if res is None:
+    theta = unify(q.goals[0], r.head)
+    if theta is None:
         return None
-    new_goals, theta = res
-    return Query(new_goals), theta
+    return Query(_resolvent(q.goals, 0, r.body, theta)), theta
 
 
 def sld(p: Program, q: Query, depth_limit: int = DEFAULT_DEPTH_LIMIT,
@@ -141,9 +140,13 @@ def _run_search(q: Query, schedule, dedup: bool, depth_limit: int,
     pool = FreshVars(avoid=query_vars(q))
     indexes = [_RuleIndex(prog) for prog, _ in schedule]
     for bound in range(depth_limit + 1) if shortest else (depth_limit,):
-        steps, exceeded = _search(schedule, indexes, dedup, pool, q.goals, bound)
-        if steps is not None:
-            return Derivation(q, steps, REFUTATION)
+        exceeded = False
+        for goals, path in _search(indexes, dedup, pool, q.goals, 1, bound):
+            if not goals:
+                return Derivation(q, [DerivationStep(Query(g), i, schedule[s][1], r, v, th,
+                                                     Query(after))
+                                      for g, i, s, r, v, th, after in path], REFUTATION)
+            exceeded = True
         if not exceeded:
             return Derivation(q, [], FAILED)
     return Derivation(q, [], DEPTH_EXCEEDED)
@@ -197,68 +200,67 @@ def _dedup_block(goals: tuple[Atom, ...], end: int) -> tuple[tuple[Atom, ...], i
     return uniq + goals[end:], len(uniq)
 
 
-def _search(schedule, indexes: list[_RuleIndex], dedup: bool, pool: FreshVars,
-            query: tuple[Atom, ...], depth_limit: int):
-    """Depth-first search for a refutation of ``query`` within
-    ``depth_limit`` macro steps.  Returns (steps or None, whether some
-    branch hit the limit).
+def _search(indexes: list[_RuleIndex], dedup: bool, pool: FreshVars,
+            query: tuple[Atom, ...], n: int, depth_limit: int,
+            tries: int = 0, cap: float = math.inf):
+    """The leaves of the depth-first search from ``query`` within
+    ``depth_limit`` macro steps, in search order: each refutation, and each
+    resolvent that the limit stops, with the path of steps to it.  The
+    path is reused as the search goes on; copy it to keep it.
 
-    A macro step resolves the leftmost goal in the first stage; each later
-    stage resolves, left to right, the block of goals the stage before it
-    introduced.  With ``dedup`` set, each stage's block is deduplicated
-    when the stage ends.  A macro step ends after the last stage, or early
-    when a stage introduces no goals.
+    The first macro step resolves the query's first ``n`` goals (with
+    ``n`` = 0 the query is the one leaf); every later one, the leftmost
+    goal.  Each stage after the first resolves, left to right, the block
+    of goals the stage before it introduced, with a rule of its own index.
+    With ``dedup`` set, each stage's block is deduplicated when the stage
+    ends.  A macro step ends after the last stage, or early when a stage
+    introduces no goals.  Every candidate tried adds one to ``tries``;
+    past ``cap`` the search raises ``CompositionBudgetError``.
     """
-    if not query:
-        return [], False
-    if depth_limit == 0:
-        return None, True
-    last = len(schedule) - 1
+    if not query or not n or not depth_limit:
+        yield query, []
+        return
+    last = len(indexes) - 1
     # A frame: goals, stage, position of the next goal to resolve, goals
     # left in the stage, macro steps left, the goal's untried candidates.
-    stack = [(query, 0, 0, 1, depth_limit, iter(indexes[0].tries(query[0])))]
+    stack = [(query, 0, 0, n, depth_limit, iter(indexes[0].tries(query[0])))]
     path = []  # the resolution that led to each frame above the first
-    exceeded = False
     while stack:
-        goals, stage, pos, left, depth, tries = stack[-1]
+        goals, stage, pos, left, depth, candidates = stack[-1]
         # Fresh names are drawn as if every rule were renamed in turn.
-        for skipped, rule in tries:
+        for skipped, rule in candidates:
             if skipped:
                 pool.skip(skipped)
             if rule is None:
                 break
+            tries += 1
+            if tries > cap:
+                raise CompositionBudgetError(f"over {cap} candidate tries for one rule")
             variant = rename_fresh(rule, pool)
-            res = _resolve_at(goals, pos, variant)
-            if res is not None:
+            theta = unify(goals[pos], variant.head)
+            if theta is not None:
                 break
         if rule is None:  # the goal's candidates are spent
             stack.pop()
             if path:
                 path.pop()
             continue
-        new_goals, theta = res
-        step = (goals, pos, stage, rule, variant, theta, new_goals)
+        new_goals = _resolvent(goals, pos, variant.body, theta)
+        path.append((goals, pos, stage, rule, variant, theta, new_goals))
         end = pos + len(variant.body)
         if left > 1:
-            frame = (new_goals, stage, end, left - 1, depth,
-                     iter(indexes[stage].tries(new_goals[end])))
+            stack.append((new_goals, stage, end, left - 1, depth,
+                          iter(indexes[stage].tries(new_goals[end]))))
+            continue
+        new_goals, block = _dedup_block(new_goals, end) if dedup else (new_goals, end)
+        if block and stage < last:
+            stack.append((new_goals, stage + 1, 0, block, depth,
+                          iter(indexes[stage + 1].tries(new_goals[0]))))
+        elif not new_goals or depth == 1:
+            yield new_goals, path
+            path.pop()
         else:
-            new_goals, n = _dedup_block(new_goals, end) if dedup else (new_goals, end)
-            if n and stage < last:
-                frame = (new_goals, stage + 1, 0, n, depth,
-                         iter(indexes[stage + 1].tries(new_goals[0])))
-            elif not new_goals:
-                path.append(step)
-                return [DerivationStep(Query(g), i, schedule[s][1], r, v, th, Query(after))
-                        for g, i, s, r, v, th, after in path], exceeded
-            elif depth == 1:
-                exceeded = True
-                continue
-            else:
-                frame = (new_goals, 0, 0, 1, depth - 1, iter(indexes[0].tries(new_goals[0])))
-        path.append(step)
-        stack.append(frame)
-    return None, exceeded
+            stack.append((new_goals, 0, 0, 1, depth - 1, iter(indexes[0].tries(new_goals[0]))))
 
 
 def macro_step_count(d: Derivation) -> int:

@@ -3,6 +3,8 @@
 import argparse
 import contextlib
 import io
+import random
+import time
 
 import pytest
 
@@ -249,16 +251,32 @@ class TestErrors:
 
     def test_resource_cap_exit_three(self, tmp_path):
         # Each of p0..p6 has 8 candidates, so 8^7 partial assignments reach
-        # p7(b), and each tries 8 clashing candidates: far over the cap of
-        # 10^6 tries, though no assignment is ever complete.
+        # p7(X, b), and each tries 8 candidates that clash on the second
+        # argument: far over the cap of 10^6 tries, though no assignment is
+        # ever complete.
         body = ", ".join(f"p{i}" for i in range(7))
-        left = write(tmp_path, "l.lp", f"a :- {body}, p7(b).\n")
+        left = write(tmp_path, "l.lp", f"a :- {body}, p7(X, b).\n")
         right = write(tmp_path, "r.lp",
                       "".join(f"p{i} :- q{j}.\n" for i in range(7) for j in range(8))
-                      + "".join(f"p7(c{j}).\n" for j in range(8)))
+                      + "".join(f"p7(c{j}, c{j}).\n" for j in range(8)))
         out = run_cli("compose", left, right)
         assert out.returncode == 3
         assert "resource cap" in out.stderr
+
+    @pytest.mark.parametrize("program, args", [
+        # 10^7 instances of the rule over the 10 constants
+        ("p(X1,X2,X3,X4,X5,X6,X7) :- q(X1,X2,X3,X4,X5,X6,X7).\n"
+         + "".join(f"q(c{i}).\n" for i in range(10)), ["lm"]),
+        # the fifth level of the universe would hold 677^2 terms
+        ("p(f(a,a)).\nq(X) :- p(X).\n", ["gnd", "--depth", "5"]),
+    ], ids=["lm-seven-variables", "gnd-depth-five"])
+    def test_grounding_cap_exit_three(self, tmp_path, program, args):
+        path = write(tmp_path, "p.lp", program)
+        start = time.perf_counter()
+        code, out, err = call_main(args[0], path, *args[1:])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "resource cap" in err and "grounding" in err
 
     def test_canonical_form_cap_exit_three(self, tmp_path, monkeypatch, capsys):
         # in process, so that the work cap can be lowered to fit a 6-cycle
@@ -403,3 +421,55 @@ class TestInProcess:
         ]]
         assert codes == [0, 0, 0, 0, 0, 2, 0]
         assert built == []
+
+
+# Each command's arguments: "@" stands for a mutated fixture file, "g" for
+# a mutated ground one, "!" for the mutated facts of a fixture and "?" for
+# a mutated query.  The bounds keep every call small.
+FUZZ_ARGS = {
+    "compose": "@ @", "dual": "@", "width": "@",
+    "gnd": "@ --depth 50", "lm": "@ --depth 50", "tp": "@ --facts ! --depth 50",
+    "sld": "@ ? --depth 50 --trace", "xsld": "? --prefix @ --base @ --suffix @ --depth 50",
+    "verify": "--target @ --base @ --prefix @ --suffix @",
+    "search": "--target g --base g --budget 0.05", "similar": "g g --budget 0.05",
+}
+FUZZ_QUERIES = ("?- append(X,Y,[a,b]).", "?- member(X,[a,b]), member(X,[b]).",
+                "?- nat(s(X)).", "?- plus(s(0),X,s(s(0))).", "?- c.")
+FUZZ_CHARS = "(),.:-|[]% \nXYZ_abs0?"
+
+
+def mutate(text, rng):
+    """``text`` after up to three character deletions, insertions or swaps."""
+    chars = list(text)
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 and i < len(chars):
+            del chars[i]
+        elif op == 1:
+            chars.insert(i, rng.choice(FUZZ_CHARS))
+        elif i + 1 < len(chars):
+            chars[i], chars[i + 1] = chars[i + 1], chars[i]
+    return "".join(chars)
+
+
+def test_mutated_inputs_keep_the_exit_codes(tmp_path):
+    # Every command on mutated fixtures and queries answers with an exit
+    # code of 0-3 and no traceback.
+    rng = random.Random(91)
+    paths = sorted(FIXTURES.glob("*.lp"))
+    texts = {"@": [path.read_text() for path in paths],
+             "g": [path.read_text() for path in paths if path.stem.startswith("ground")]}
+    texts["!"] = ["".join(line for line in text.splitlines(True) if ":-" not in line)
+                  for text in texts["@"]]
+    for case in range(330):
+        command = sorted(FUZZ_ARGS)[case % len(FUZZ_ARGS)]
+        argv = [command]
+        for i, arg in enumerate(FUZZ_ARGS[command].split()):
+            if arg in texts:
+                arg = write(tmp_path, f"{i}.lp", mutate(rng.choice(texts[arg]), rng))
+            elif arg == "?":
+                arg = mutate(rng.choice(FUZZ_QUERIES), rng)
+            argv.append(arg)
+        code, _, err = call_main(*argv)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, argv

@@ -190,10 +190,11 @@ class TestResourceGuard:
             compose(p, r)
 
     @pytest.mark.parametrize("left, right, tries", [
-        # p(a) clashes with both q facts; p(b) tries both and keeps q(b)
-        ("h :- p(X), q(X).", "p(a).\np(b).\nq(b).\nq(c).", 6),
-        # q(b) has one candidate and clashes with it, so no p is tried
-        ("h :- p(X), p(Y), q(b).", "".join(f"p(c{i}).\n" for i in range(30)) + "q(a).", 1),
+        # q(a) has no candidate after p(a); q(b) has one after p(b)
+        ("h :- p(X), q(X).", "p(a).\np(b).\nq(b).\nq(c).", 3),
+        # q(c, b) has one candidate and clashes with it, so no p is tried
+        ("h :- p(X), p(Y), q(c, b).", "".join(f"p(c{i}).\n" for i in range(30)) + "q(c, a).",
+         1),
         # one candidate for each of 500 body atoms
         ("a :- " + ", ".join(f"p{i}" for i in range(500)) + ".",
          "".join(f"p{i}.\n" for i in range(500)), 500),

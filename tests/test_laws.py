@@ -6,8 +6,9 @@ unconditional form that is false is refuted on a pinned counterexample.
 
 import random
 
-from seqhorn import Program, Rule, compose, dual, parse_program, tp
-from conftest import PROP_ATOMS, random_interpretation, random_prop_program
+from seqhorn import Atom, FreshVars, Program, Rule, Var, compose, dual, parse_program, tp
+from seqhorn.sld import _RuleIndex, _search
+from conftest import PROP_ATOMS, random_fo_program, random_interpretation, random_prop_program
 
 
 def random_krom_program(rng: random.Random, max_rules: int = 4) -> Program:
@@ -53,3 +54,27 @@ def test_associativity_refuted():
     extra = parse_program("b :- b, c, d.").rules[0]
     assert extra in right and extra not in left
     assert frozenset(left) < frozenset(right)
+
+
+def resultants(q: Program, r: Program, s: Program, pred: str, arity: int) -> Program:
+    """The rules g :- G read off the leaves of one translated macro step
+    from g = pred(X0, ..., X(arity-1)): the goals (g, g) resolve the first
+    g through Q, then R, then S, and the second g carries the answer."""
+    g = Atom(pred, tuple(Var(f"X{i}") for i in range(arity)))
+    indexes = [_RuleIndex(q), _RuleIndex(r), _RuleIndex(s)]
+    leaves = _search(indexes, True, FreshVars(), (g, g), 1, 1)
+    return Program(Rule(goals[-1], goals[:-1]) for goals, _ in leaves)
+
+
+def test_resultant_law():
+    # One macro step of translated SLD through Q, R, S applies exactly the
+    # rules of (Q o R) o S (Lloyd & Shepherdson's resultants), on
+    # first-order programs
+    rng = random.Random(83)
+    for _ in range(2000):
+        q, r, s = (random_fo_program(rng) for _ in range(3))
+        composed = compose(compose(q, r), s)
+        for pred, arity in {(rule.head.pred, len(rule.head.args)) for rule in q}:
+            want = Program(rule for rule in composed
+                           if (rule.head.pred, len(rule.head.args)) == (pred, arity))
+            assert resultants(q, r, s, pred, arity) == want

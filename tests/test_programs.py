@@ -7,6 +7,7 @@ import pytest
 from seqhorn import (
     Atom,
     Const,
+    GroundingBudgetError,
     Program,
     Rule,
     Signature,
@@ -31,6 +32,7 @@ from seqhorn import (
     unit_restricted,
     width,
 )
+from seqhorn.programs import herbrand_terms
 from conftest import PROP_ATOMS, random_fo_program, random_prop_program, random_interpretation
 
 
@@ -168,6 +170,32 @@ class TestGnd:
                     assert c == r and c.body == r.body
                 assert tuple(g) == Program(g.rules).rules
                 assert g == Program(list(g))
+
+
+class TestGroundingCap:
+    @pytest.fixture
+    def set_cap(self, monkeypatch):
+        import seqhorn.programs
+
+        return lambda cap: monkeypatch.setattr(seqhorn.programs, "_GROUND_CAP", cap)
+
+    def test_counts_instances(self, set_cap):
+        # 3 * 3 instances of the rule, and one of each fact
+        p = parse_program("p(X, Y) :- q(X), q(Y).\nq(a).\nq(b).\nq(c).")
+        set_cap(12)
+        assert len(gnd(p)) == 12
+        set_cap(11)
+        with pytest.raises(GroundingBudgetError, match="grounding"):
+            gnd(p)
+
+    def test_counts_terms_per_level(self, set_cap):
+        # depth 1 builds f(a,a) and depth 2 the 2 * 2 terms over {a, f(a,a)}
+        p = parse_program("p(f(a, a)).")
+        set_cap(4)
+        assert len(herbrand_terms(signature_of(p), 2)) == 5
+        set_cap(3)
+        with pytest.raises(GroundingBudgetError, match="grounding"):
+            herbrand_terms(signature_of(p), 2)
 
 
 class TestUnitProgram:
