@@ -6,9 +6,9 @@ A reduction certificate claims ``target = (prefix o base) o suffix``.
 propositional) programs, rule by rule: a prefix rule keeps the target
 rule's head and rewrites its body into base-rule heads; suffix rules map
 the chosen base rules' body atoms back to the target rule's body.  Options
-that survive the per-rule filters are combined and the assembled pair is
-accepted only if full verification passes, which makes the procedure
-complete within exhaustive bounds while staying deterministic.
+that survive the per-rule filters are combined; the assembly's leak test
+is the decision, so a completed assembly is the certificate, and the
+procedure is complete within exhaustive bounds while staying deterministic.
 
 First-order decomposition search is out of scope: for non-ground inputs
 only the width necessary condition is consulted (verification itself works
@@ -137,9 +137,10 @@ def search_reduction(p: Program, r: Program,
     """Search prefixes and suffixes witnessing ``p`` one-step reduced to
     ``r`` for ground programs.
 
-    Returns the first verified certificate in a deterministic enumeration
-    order (small prefixes and suffixes first), a definitive or bounded
-    not-found, or a distinct budget-exceeded outcome.  ``exhaustive`` is
+    Returns the first certificate the assembly completes in a deterministic
+    order (small prefixes and suffixes first), as built, since its leak
+    test decides it; else a definitive or bounded not-found, or a distinct
+    budget-exceeded outcome.  ``exhaustive`` is
     only claimed for propositional inputs whose candidate spaces
     ``max_body`` does not clip: every base head fits in a prefix body, and
     the target bodies the verdict rests on (the one with no option, or all
@@ -293,18 +294,13 @@ def search_reduction(p: Program, r: Program,
                             by_atom[c].pop()
                     for c, _ in added:
                         by_head_s[c].pop()
-    if entered:
-        cert = ReductionCertificate(
-            target=p,
-            base=r,
-            prefix=_program_from_masks({q for (q, _), _, _ in trail}, atoms),
-            suffix=_program_from_masks({sr for (_, s), _, _ in trail for sr in s}, atoms),
-        )
-        if verify(cert):
-            return SearchResult(FOUND, cert, exhaustive=False,
-                                elapsed=clock.elapsed)
-    return SearchResult(NOT_FOUND, exhaustive=exhaustive and not clipped,
-                        elapsed=clock.elapsed)
+    if not entered:
+        return SearchResult(NOT_FOUND, exhaustive=exhaustive and not clipped,
+                            elapsed=clock.elapsed)
+    prefix = _program_from_masks({q for (q, _), _, _ in trail}, atoms)
+    suffix = _program_from_masks({sr for (_, s), _, _ in trail for sr in s}, atoms)
+    cert = ReductionCertificate(p, r, prefix, suffix)
+    return SearchResult(FOUND, cert, elapsed=clock.elapsed)
 
 
 def _suffixes(mids, allowed_w, bmask, targets):
@@ -405,10 +401,10 @@ def _unions(mask: int, by_head) -> set[int]:
 
 
 def _program_from_masks(rules, atoms: list[Atom]) -> Program:
-    out = []
-    for h, m in sorted(rules):
-        out.append(Rule(atoms[h], tuple(atoms[c] for c in _bits(m))))
-    return Program(out)
+    """The (head, body mask) pairs ``rules`` as a program; ground, with bodies
+    in bit order, which is ``atom_key`` order, they are canonical as built."""
+    return Program._of_canonical(Rule(atoms[h], tuple(atoms[c] for c in _bits(m)))
+                                 for h, m in sorted(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -617,8 +617,11 @@ class GroundingBudgetError(Exception):
 def herbrand_terms(sig: Signature, depth: int) -> list[Term]:
     """All ground terms of nesting depth <= depth, monotone in depth.
 
-    Raises ``GroundingBudgetError`` before a level would build more than
-    ``_GROUND_CAP`` compound terms."""
+    Level k is built from the argument tuples whose first term of level
+    k - 1 is at position i, older terms before it and any after: each such
+    tuple is new and none repeats, so each term is built once.  Raises
+    ``GroundingBudgetError`` before a level when the argument tuples over
+    the universe built so far number more than ``_GROUND_CAP``."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if sig.functions and not sig.constants:
@@ -626,22 +629,18 @@ def herbrand_terms(sig: Signature, depth: int) -> list[Term]:
             "empty ground term universe: function symbols without constants"
         )
     all_terms: list[Term] = [Const(c) for c in sorted(sig.constants)]
-    known: set[Term] = set(all_terms)
+    start = 0  # all_terms[start:] is the last level built
     for _ in range(depth):
-        prev = list(all_terms)
-        if sum(len(prev) ** n for _, n in sig.functions) > _GROUND_CAP:
+        if sum(len(all_terms) ** n for _, n in sig.functions) > _GROUND_CAP:
             raise GroundingBudgetError(
                 f"grounding needs over {_GROUND_CAP} terms in one level of its universe")
-        new: list[Term] = []
-        for f, n in sorted(sig.functions):
-            for args in product(prev, repeat=n):
-                t = Compound(f, args)
-                if t not in known:
-                    known.add(t)
-                    new.append(t)
+        older, last = all_terms[:start], all_terms[start:]
+        new = [Compound(f, args) for f, n in sorted(sig.functions) for i in range(n)
+               for args in product(*[older] * i, last, *[all_terms] * (n - 1 - i))]
         if not new:
             break
-        all_terms.extend(new)
+        start = len(all_terms)
+        all_terms += new
     return sorted(all_terms, key=term_key)
 
 

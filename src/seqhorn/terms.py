@@ -146,14 +146,6 @@ class Atom:
         return atom_to_text(self)
 
 
-def compound(functor: str, *args: Term) -> Compound:
-    return Compound(functor, tuple(args))
-
-
-def atom(pred: str, *args: Term) -> Atom:
-    return Atom(pred, tuple(args))
-
-
 # ---------------------------------------------------------------------------
 # Variables and groundness
 

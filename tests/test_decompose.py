@@ -234,7 +234,7 @@ class TestSearchReduction:
         assert first.certificate.prefix == second.certificate.prefix
         assert first.certificate.suffix == second.certificate.suffix
 
-    def test_random_found_certificates_verify(self):
+    def test_random_found_certificates_verify(self, request):
         from seqhorn import width
 
         rng = random.Random(42)
@@ -250,6 +250,61 @@ class TestSearchReduction:
             assert width(target) <= width(base)  # necessary condition, post hoc
             found += 1
         assert found == 60
+        # Pairs not planted, over 4 to 6 atoms, on a budget of 50 checks:
+        # search returns its assembly's certificate unchecked, so each one
+        # found is checked here.
+        request.getfixturevalue("counting_clock")
+        outcomes = {FOUND: 0, NOT_FOUND: 0, BUDGET_EXCEEDED: 0}
+        for _ in range(400):
+            universe = tuple(Atom(c) for c in "abcdef"[:rng.randint(4, 6)])
+            p = random_prop_program(rng, universe)
+            r = random_prop_program(rng, universe)
+            result = search_reduction(p, r, SearchBounds(time_budget=50))
+            outcomes[result.status] += 1
+            if result.found:
+                assert verify(result.certificate), (p, r)
+        assert min(outcomes.values()) > 0 and outcomes[FOUND] > 100, outcomes
+
+    def test_search_does_not_recompose(self, monkeypatch):
+        # The assembly's leak test decides a search, so neither a search nor
+        # similar composes, verifies or canonicalizes its certificate.
+        import seqhorn.decompose
+        import seqhorn.programs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search recomposed its certificate")
+
+        def answers():
+            found, sim = search_reduction(P_SWAP, PI), similar(P_SWAP, PI)
+            return (found.status, sim.outcome,
+                    *(certificate_to_text(x.certificate) for x in (found, sim.forward, sim.backward)))
+
+        canonicalize = seqhorn.programs.canonicalize
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return canonicalize(*args, **kwargs)
+
+        want = answers()
+        assert want[:2] == (FOUND, SIMILAR)
+        monkeypatch.setattr(seqhorn.decompose, "compose", refuse)
+        monkeypatch.setattr(seqhorn.decompose, "verify", refuse)
+        monkeypatch.setattr(seqhorn.programs, "canonicalize", counted)
+        assert answers() == want
+        assert calls == []
+
+    def test_least_beta_of_a_class(self):
+        # For h :- x, y the prefix bodies {c} and {a, b} give the same mid
+        # bodies, {x, y}.  {c} is generated first, but the class's options
+        # use its least beta, {a, b}, which the option order puts first.
+        p = parse_program("g :- x.\nh :- x, y.\nk :- y.")
+        r = parse_program("a :- x.\nb :- y.\nc :- x, y.")
+        result = search_reduction(p, r)
+        assert result.status == FOUND
+        assert result.certificate.prefix == parse_program("g :- a.\nh :- a, b.\nk :- b.")
+        assert result.certificate.suffix == parse_program("x :- x.\ny :- y.")
+        assert verify(result.certificate)
 
 
 class _CountingClock:

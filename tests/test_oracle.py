@@ -117,16 +117,29 @@ def test_ground_depth_one_function_symbol(reference):
     # nat-like programs over a, b and f/1: depth 1 adds f(a) and f(b).  The
     # fact p(a) keeps a constant in every signature that has f.
     rng = random.Random(64)
-    pool = (Const("a"), Const("b"), Var("X"), Var("Y"), Compound("f", (Var("X"),)))
+    X, a = Var("X"), Const("a")
     preds = (("p", 1), ("r", 2))
 
-    def atom():
-        pred, arity = rng.choice(preds)
-        return Atom(pred, tuple(rng.choice(pool) for _ in range(arity)))
+    def program(pool):
+        def atom():
+            pred, arity = rng.choice(preds)
+            return Atom(pred, tuple(rng.choice(pool) for _ in range(arity)))
+
+        return Program(make_rule(atom(), [atom() for _ in range(rng.randint(0, 2))])
+                       for _ in range(rng.randint(1, 4)))
 
     for _ in range(60):
-        p = Program(make_rule(atom(), [atom() for _ in range(rng.randint(0, 2))])
-                    for _ in range(rng.randint(1, 4)))
+        p = program((a, Const("b"), X, Var("Y"), Compound("f", (X,))))
         p = p | parse_program("p(a).")
         i = parse_program("p(f(a)).\nr(b, f(b)).") if rng.random() < 0.5 else Program()
         _agree_ground(reference, p, i, 1)
+    # Depths 2 and 3 over a, f/1 and g/2, whose universes hold 13 and 183
+    # terms; one variable per rule keeps each grounding small.
+    pool = (a, X, Compound("f", (X,)), Compound("g", (X, a)), Compound("g", (a, X)))
+    for depth, samples in ((2, 10), (3, 4)):
+        for _ in range(samples):
+            p = program(pool) | parse_program("p(g(f(a), a)).")
+            i = Program()
+            if rng.random() < 0.5:
+                i = parse_program("p(f(f(a))).\nr(a, g(a, f(a))).")
+            _agree_ground(reference, p, i, depth)

@@ -136,6 +136,25 @@ class TestHerbrandBase:
         for d in range(3):
             assert herbrand_base(self._sig(), d) <= herbrand_base(self._sig(), d + 1)
 
+    def test_each_term_built_once(self, monkeypatch):
+        # Building each level from all the terms before it built 2,001,000
+        # compounds for these 2,000.
+        import seqhorn.programs
+
+        built = []
+        compound = seqhorn.programs.Compound
+
+        def counting(functor, args):
+            built.append(functor)
+            return compound(functor, args)
+
+        monkeypatch.setattr(seqhorn.programs, "Compound", counting)
+        terms = herbrand_terms(self._sig(), 2000)
+        assert len(terms) == 2001
+        assert len(built) == 2000
+        assert terms[:3] == [Const("0"), compound("s", (Const("0"),)),
+                             compound("s", (compound("s", (Const("0"),)),))]
+
 
 class TestGnd:
     def test_two_constants(self):
