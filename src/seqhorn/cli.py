@@ -34,7 +34,7 @@ from .programs import (
     width,
 )
 from .semantics import least_model, tp
-from .sld import render_derivation, sld, translated_sld
+from .sld import DEFAULT_DEPTH_LIMIT, render_derivation, sld, translated_sld
 from .syntax import (
     ParseError,
     atom_to_text,
@@ -189,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential composition algebra for Horn logic programs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    bounds = SearchBounds()
 
     p = sub.add_parser("compose", help="print the canonical composition of two programs")
     p.add_argument("left")
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sld", help="run SLD resolution on a query")
     p.add_argument("program")
     p.add_argument("query")
-    p.add_argument("--depth", type=int, default=1000)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH_LIMIT)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=_cmd_sld)
 
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--suffix", required=True)
-    p.add_argument("--depth", type=int, default=1000)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH_LIMIT)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=_cmd_xsld)
 
@@ -245,15 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a one-step reduction")
     p.add_argument("--target", required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--max-body", type=int, default=None)
-    p.add_argument("--budget", type=float, default=60.0)
+    p.add_argument("--max-body", type=int, default=bounds.max_body)
+    p.add_argument("--budget", type=float, default=bounds.time_budget)
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("similar", help="decide syntactic similarity both ways")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--max-body", type=int, default=None)
-    p.add_argument("--budget", type=float, default=60.0)
+    p.add_argument("--max-body", type=int, default=bounds.max_body)
+    p.add_argument("--budget", type=float, default=bounds.time_budget)
     p.set_defaults(fn=_cmd_similar)
 
     return parser

@@ -43,10 +43,6 @@ class Rule:
     def is_fact(self) -> bool:
         return not self.body
 
-    @property
-    def size(self) -> int:
-        return len(self.body)
-
     def __str__(self) -> str:
         from .syntax import rule_to_text
 
@@ -64,10 +60,6 @@ def rule_vars(r: Rule) -> set[str]:
     for a in r.body:
         atom_vars(a, acc)
     return acc
-
-
-def rule_is_ground(r: Rule) -> bool:
-    return atom_is_ground(r.head) and all(atom_is_ground(a) for a in r.body)
 
 
 def subst_rule(r: Rule, s: Subst) -> Rule:
@@ -423,7 +415,9 @@ class Program:
 
     @classmethod
     def _of_canonical(cls, rules: Iterable[Rule]) -> "Program":
-        """Program of rules that are already canonical, kept as they are."""
+        """Program of rules that are already canonical, kept as they are:
+        rules of other programs, facts and units of ground atoms, or units
+        whose variables are v1, ..., vn in order."""
         prog = cls.__new__(cls)
         prog._keep(rules)
         return prog
@@ -456,7 +450,7 @@ class Program:
         return hash(self._ruleset)
 
     def __or__(self, other: "Program") -> "Program":
-        return Program(self._rules + other._rules)
+        return Program._of_canonical(self._rules + other._rules)
 
     def __repr__(self) -> str:
         from .syntax import program_to_text
@@ -465,7 +459,8 @@ class Program:
 
     @property
     def is_ground(self) -> bool:
-        return all(rule_is_ground(r) for r in self._rules)
+        return all(atom_is_ground(r.head) and all(map(atom_is_ground, r.body))
+                   for r in self._rules)
 
     def sorted_rules(self) -> list[Rule]:
         return sorted(self._rules, key=rule_key)
@@ -488,7 +483,7 @@ def interpretation(atoms: Iterable[Atom]) -> Program:
     """The set of ground atoms viewed as a program of facts."""
     atoms = list(atoms)
     _require_ground("interpretation", atoms=atoms)
-    return Program(Rule(a) for a in sorted(set(atoms), key=atom_key))
+    return Program._of_canonical(Rule(a) for a in sorted(set(atoms), key=atom_key))
 
 
 def is_interpretation(p: Program) -> bool:
@@ -519,11 +514,11 @@ def body_of(p: Program) -> frozenset[Atom]:
 
 
 def facts(p: Program) -> Program:
-    return Program(r for r in p if r.is_fact)
+    return Program._of_canonical(r for r in p if r.is_fact)
 
 
 def proper(p: Program) -> Program:
-    return Program(r for r in p if not r.is_fact)
+    return Program._of_canonical(r for r in p if not r.is_fact)
 
 
 def dual(p: Program) -> Program:
@@ -581,10 +576,9 @@ def _collect_term_symbols(t: Term, fns: set[tuple[str, int]], consts: set[str]) 
             todo += t.args
 
 
-def signature_of(*programs: Program, atoms: Iterable[Atom] = (),
-                 extra_constants: Iterable[str] = ()) -> Signature:
-    """Exactly the symbols occurring in the given programs and atoms, plus
-    optional user-declared constants."""
+def signature_of(*programs: Program, extra_constants: Iterable[str] = ()) -> Signature:
+    """Exactly the symbols occurring in the given programs, plus optional
+    user-declared constants."""
     preds: set[tuple[str, int]] = set()
     fns: set[tuple[str, int]] = set()
     consts: set[str] = set(extra_constants)
@@ -599,8 +593,6 @@ def signature_of(*programs: Program, atoms: Iterable[Atom] = (),
             see(r.head)
             for a in r.body:
                 see(a)
-    for a in atoms:
-        see(a)
     return Signature(frozenset(preds), frozenset(fns), frozenset(consts))
 
 
@@ -695,14 +687,14 @@ def unit_program(sig: Signature) -> Program:
         args = tuple(Var(f"v{i}") for i in range(1, n + 1))
         a = Atom(pred, args)
         out.append(Rule(a, (a,)))
-    return Program(out)
+    return Program._of_canonical(out)
 
 
 def unit_restricted(atoms: Iterable[Atom]) -> Program:
     """The ground unit slice {A <- A | A in I}."""
     atoms = list(atoms)
     _require_ground("unit_restricted", atoms=atoms)
-    return Program(Rule(a, (a,)) for a in sorted(set(atoms), key=atom_key))
+    return Program._of_canonical(Rule(a, (a,)) for a in sorted(set(atoms), key=atom_key))
 
 
 def _check_subset(i: Iterable[Atom], hb: Iterable[Atom]) -> tuple[frozenset[Atom], frozenset[Atom]]:
@@ -731,11 +723,11 @@ def left_reduct(p: Program, i: Iterable[Atom]) -> Program:
     """Rules whose head the interpretation satisfies."""
     _require_ground("left_reduct", p)
     iset = frozenset(i)
-    return Program(r for r in p if r.head in iset)
+    return Program._of_canonical(r for r in p if r.head in iset)
 
 
 def right_reduct(p: Program, i: Iterable[Atom]) -> Program:
     """Rules whose body the interpretation satisfies."""
     _require_ground("right_reduct", p)
     iset = frozenset(i)
-    return Program(r for r in p if set(r.body) <= iset)
+    return Program._of_canonical(r for r in p if set(r.body) <= iset)

@@ -80,13 +80,6 @@ class Derivation:
         return self.outcome == REFUTATION
 
 
-def query_vars(q: Query) -> set[str]:
-    acc: set[str] = set()
-    for a in q.goals:
-        atom_vars(a, acc)
-    return acc
-
-
 def _resolvent(goals: tuple[Atom, ...], index: int, body: tuple[Atom, ...],
                theta: Subst) -> tuple[Atom, ...]:
     """``goals`` with the one at ``index`` replaced by ``body``, under ``theta``."""
@@ -137,7 +130,7 @@ def _run_search(q: Query, schedule, dedup: bool, depth_limit: int,
                 shortest: bool) -> Derivation:
     if depth_limit < 0:
         raise ValueError(f"depth limit must be at least 0, not {depth_limit}")
-    pool = FreshVars(avoid=query_vars(q))
+    pool = FreshVars(avoid=[n for a in q.goals for n in atom_vars(a)])
     indexes = [_RuleIndex(prog) for prog, _ in schedule]
     for bound in range(depth_limit + 1) if shortest else (depth_limit,):
         exceeded = False

@@ -169,14 +169,6 @@ def _var_names(terms: tuple[Term, ...]) -> list[str]:
     return names
 
 
-def term_vars(t: Term, acc: set[str] | None = None) -> set[str]:
-    """Set of variable names occurring in ``t``."""
-    if acc is None:
-        acc = set()
-    acc.update(_var_names((t,)))
-    return acc
-
-
 def atom_vars(a: Atom, acc: set[str] | None = None) -> set[str]:
     if acc is None:
         acc = set()
@@ -188,24 +180,15 @@ def atom_vars(a: Atom, acc: set[str] | None = None) -> set[str]:
     return acc
 
 
-def term_var_order(t: Term, seen: dict[str, None]) -> None:
-    """Add variable names to the insertion-ordered ``seen`` in
-    first-occurrence order."""
-    for name in _var_names((t,)):
-        seen.setdefault(name)
-
-
 def atom_var_order(a: Atom, seen: dict[str, None]) -> None:
+    """Add the names of ``a``'s variables to the insertion-ordered ``seen``
+    in first-occurrence order."""
     for t in a.args:
         if isinstance(t, Var):
             seen.setdefault(t.name)
         elif not t.ground:
             for name in _var_names(t.args):
                 seen.setdefault(name)
-
-
-def term_is_ground(t: Term) -> bool:
-    return t.ground
 
 
 def atom_is_ground(a: Atom) -> bool:

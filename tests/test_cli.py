@@ -69,6 +69,12 @@ class TestSimpleCommands:
         assert out.returncode == 0
         assert out.stdout == "a.\nb.\n"
 
+    def test_gnd_negative_depth_exit_two(self, tmp_path):
+        p = write(tmp_path, "p.lp", "p(a).\n")
+        out = run_cli("gnd", p, "--depth", "-1")
+        assert out.returncode == 2
+        assert out.stdout == "" and "depth" in out.stderr and "Traceback" not in out.stderr
+
     def test_tp_nonground_facts_exit_two(self, tmp_path):
         # q(X) would otherwise pass as an opaque atom: q(a) printed, r(a) missed
         p = write(tmp_path, "p.lp", "r(X) :- q(X).\nq(a).\n")

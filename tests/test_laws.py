@@ -6,9 +6,30 @@ unconditional form that is false is refuted on a pinned counterexample.
 
 import random
 
-from seqhorn import Atom, FreshVars, Program, Rule, Var, compose, dual, parse_program, tp
-from seqhorn.sld import _RuleIndex, _search
-from conftest import PROP_ATOMS, random_fo_program, random_interpretation, random_prop_program
+from seqhorn import (
+    Atom,
+    FreshVars,
+    Program,
+    Query,
+    Rule,
+    Var,
+    compose,
+    dual,
+    least_model,
+    make_rule,
+    parse_program,
+    sld,
+    tp,
+    translated_sld,
+)
+from seqhorn.sld import DEPTH_EXCEEDED, _RuleIndex, _search
+from conftest import (
+    PROP_ATOMS,
+    random_fo_atom,
+    random_fo_program,
+    random_interpretation,
+    random_prop_program,
+)
 
 
 def random_krom_program(rng: random.Random, max_rules: int = 4) -> Program:
@@ -41,6 +62,73 @@ def test_duality_fails_beyond_krom():
     r = parse_program("b :- b.")
     assert dual(compose(p, r)) == Program()
     assert compose(dual(r), dual(p)) == parse_program("b :- a.")
+
+
+def test_sld_agrees_with_least_model():
+    # On propositional programs an atom has an SLD refutation exactly when
+    # it is in the least model; a search the depth limit stops claims nothing
+    rng = random.Random(84)
+    decided = 0
+    for _ in range(400):
+        p = random_prop_program(rng)
+        model = least_model(p)
+        for a in PROP_ATOMS:
+            d = sld(p, Query((a,)), depth_limit=8)
+            if d.outcome != DEPTH_EXCEEDED:
+                decided += 1
+                assert d.is_refutation == (a in model), (p, a)
+    assert decided > 1200
+
+
+def test_translated_sld_agrees_with_recomposition():
+    # A query answered through Q, R and S has the outcome of the same
+    # query on (Q o R) o S, one macro step for each step, on first-order
+    # programs and ground queries
+    rng = random.Random(85)
+    refuted = 0
+    for _ in range(300):
+        q, r, s = (random_fo_program(rng) for _ in range(3))
+        composed = compose(compose(q, r), s)
+        for _ in range(3):
+            goal = Query((random_fo_atom(rng, ground=True),))
+            d = translated_sld(q, r, s, goal, depth_limit=5)
+            assert d.outcome == sld(composed, goal, depth_limit=5).outcome, (q, r, s, goal)
+            refuted += d.is_refutation
+    assert refuted > 60
+
+
+def random_two_level_triple(rng: random.Random) -> tuple[Program, Program, Program]:
+    """P of one or two rules with two-atom bodies; Q with one rule for
+    each atom, whose body draws on a and b only; R with two one-atom rules
+    for each of a and b.  Middle bodies then often share an atom that R
+    rewrites two ways, which is where the two sides of associativity
+    differ."""
+    middle = PROP_ATOMS[:2]
+    p = Program(make_rule(rng.choice(PROP_ATOMS), rng.sample(PROP_ATOMS, k=2))
+                for _ in range(rng.randint(1, 2)))
+    q = Program(make_rule(h, rng.sample(middle, k=rng.randint(1, 2))) for h in PROP_ATOMS)
+    r = Program(make_rule(h, (rng.choice(PROP_ATOMS),)) for h in middle for _ in range(2))
+    return p, q, r
+
+
+def test_associativity_inclusion():
+    # (P o Q) o R is included in P o (Q o R) on propositional programs.  A
+    # rule of the left side starts from a rule h :- B of P, picks a Q rule
+    # q_b for each b in B, and then one R rule r_m for each atom m of the
+    # middle body, the union of the q_b's bodies.  The right side can pick
+    # the same q_b and, under each of them, the same r_m for every m of
+    # q_b's body, which gives the same rule.  The converse fails because
+    # the right side may pick different R rules for an atom that two q_b
+    # share (test_associativity_refuted).
+    rng = random.Random(86)
+    differ = 0
+    for _ in range(600):
+        p, q, r = random_two_level_triple(rng)
+        left = compose(compose(p, q), r)
+        right = compose(p, compose(q, r))
+        assert frozenset(left) <= frozenset(right), (p, q, r)
+        differ += left != right
+    assert differ > 200
 
 
 def test_associativity_refuted():

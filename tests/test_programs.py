@@ -32,7 +32,7 @@ from seqhorn import (
     unit_restricted,
     width,
 )
-from seqhorn.programs import herbrand_terms
+from seqhorn.programs import herbrand_terms, program_atoms
 from conftest import PROP_ATOMS, random_fo_program, random_prop_program, random_interpretation
 
 
@@ -72,6 +72,38 @@ class TestConstruction:
         p = Program._of_canonical(rules)
         assert len(calls) == 100
         assert p.rules == tuple(rules)
+
+    def test_not_equal_to_other_values(self):
+        assert (Program() == 1) is False
+        assert Program() != frozenset() and Program() != ()
+
+
+    def test_canonical_rules_not_canonicalized_again(self, monkeypatch):
+        # Subsets and unions of programs' rules, ground facts and units, and
+        # the unit program's rules are canonical as built.
+        import seqhorn.programs
+
+        rng = random.Random(42)
+        cases = []
+        for _ in range(200):
+            p, q = random_fo_program(rng), random_fo_program(rng)
+            g = random_fo_program(rng, ground=True)
+            cases.append((p, q, g, program_atoms(g), signature_of(p, q)))
+        for _ in range(200):
+            p, q = random_prop_program(rng), random_prop_program(rng)
+            cases.append((p, q, p, random_interpretation(rng), signature_of(p, q)))
+        calls = []
+        canonical = seqhorn.programs.canonicalize
+        monkeypatch.setattr(seqhorn.programs, "canonicalize",
+                            lambda r: calls.append(r) or canonical(r))
+        results = []
+        for p, q, g, i, sig in cases:
+            results += [p | q, facts(p), proper(p), left_reduct(g, i), right_reduct(g, i),
+                        interpretation(i), unit_restricted(i), unit_program(sig)]
+        assert calls == []
+        monkeypatch.undo()
+        for result in results:
+            assert Program(result.rules).rules == result.rules
 
 
 class TestDual:
@@ -126,6 +158,14 @@ class TestHerbrandBase:
     def test_function_free_depth_irrelevant(self):
         sig = Signature(frozenset({("p", 1)}), frozenset(), frozenset({"a"}))
         assert herbrand_base(sig, 0) == herbrand_base(sig, 3)
+
+    def test_negative_depth(self):
+        with pytest.raises(ValueError, match="depth"):
+            herbrand_terms(self._sig(), -1)
+
+    def test_propositional_predicate(self):
+        sig = Signature(frozenset({("e", 0), ("p", 1)}), frozenset(), frozenset({"a"}))
+        assert herbrand_base(sig, 1) == {Atom("e"), Atom("p", (Const("a"),))}
 
     def test_error_without_constants(self):
         sig = Signature(frozenset({("p", 1)}), frozenset({("f", 1)}), frozenset())

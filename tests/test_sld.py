@@ -350,6 +350,14 @@ class TestTranslatedSld:
         native = sld(member, query)
         assert native.outcome == REFUTATION
 
+    def test_macro_steps_of_plain_and_empty_derivations(self, nat):
+        # a plain derivation's macro steps are its steps; one with no steps has none
+        d = sld(nat, parse_query("?- nat(s(s(0)))."))
+        assert d.is_refutation and macro_step_count(d) == len(d.steps) == 3
+        assert macro_step_count(sld(nat, parse_query("?- nat(a)."))) == 0
+        empty = sld(nat, Query())
+        assert empty.is_refutation and macro_step_count(empty) == 0
+
     def test_multi_goal_translated(self, plus, q_plus_append, s_plus_append):
         query = parse_query("?- append([],[b],[b]), append([a],[],[a]).")
         d = translated_sld(q_plus_append, plus, s_plus_append, query)

@@ -28,12 +28,11 @@ from seqhorn.programs import subst_rule
 from seqhorn.terms import (
     FreshVars,
     atom_is_ground,
+    atom_var_order,
+    atom_vars,
     subst_atom,
     subst_term,
-    term_is_ground,
     term_key,
-    term_var_order,
-    term_vars,
 )
 
 
@@ -456,9 +455,9 @@ class TestDeepTerms:
     def test_variables_groundness_and_keys(self):
         x, y = self.chain(Var("X")), self.chain(Const("0"))
         order: dict[str, None] = {}
-        term_var_order(Compound("f", (Var("Y"), x, Var("Z"), x)), order)
-        assert list(order) == ["Y", "X", "Z"] and term_vars(x) == {"X"}
-        assert not term_is_ground(x) and term_is_ground(y)
+        atom_var_order(Atom("p", (Compound("f", (Var("Y"), x, Var("Z"), x)),)), order)
+        assert list(order) == ["Y", "X", "Z"] and atom_vars(Atom("p", (x,))) == {"X"}
+        assert not atom_is_ground(Atom("p", (x,))) and atom_is_ground(Atom("p", (y,)))
         assert term_key(x) < term_key(y) == term_key(self.chain(Const("0")))
 
     def test_canonical_form_of_deep_same_shape_atoms(self):
@@ -528,7 +527,7 @@ class TestGroundness:
     @settings(max_examples=300, deadline=None)
     @given(_keyed_term_strategy)
     def test_flag_matches_a_walk(self, t):
-        assert t.ground == term_is_ground(t) == _naive_ground(t)
+        assert t.ground == atom_is_ground(Atom("p", (t,))) == _naive_ground(t)
         if t.ground:
             assert subst_term(t, {"X": Const("a"), "Y": Compound("f", (Var("X"),))}) is t
 
@@ -558,6 +557,9 @@ class TestGroundness:
             t.functor = "h"
         with pytest.raises(dataclasses.FrozenInstanceError):
             t.ground = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del t.args
+        assert t.args[1] == Var("X")
         for clone in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert clone == t and hash(clone) == hash(t) and not clone.ground
 
@@ -577,6 +579,11 @@ class TestFreshVarsSkip:
             for _ in range(k):
                 next(stepped)
             assert [next(skipped) for _ in range(8)] == [next(stepped) for _ in range(8)]
+
+    def test_pool_is_its_own_iterator(self):
+        pool = FreshVars()
+        assert iter(pool) is pool
+        assert next(iter(pool)) == "_G1" and next(pool) == "_G2"
 
     def test_names_avoided(self):
         pool = FreshVars(self.AVOID)
