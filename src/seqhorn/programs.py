@@ -14,7 +14,8 @@ stateful facility is the fresh-name pool, which is always per-computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .terms import (
@@ -30,6 +31,7 @@ from .terms import (
     atom_var_order,
     atom_vars,
     subst_atom,
+    subst_term,
     term_key,
 )
 
@@ -115,8 +117,6 @@ def _rename_first_occurrence(head: Atom, body: tuple[Atom, ...]) -> Rule:
     atom_var_order(head, seen)
     for a in body:
         atom_var_order(a, seen)
-    if not seen:
-        return Rule(head, body)
     ren: Subst = {n: Var(f"v{i}") for i, n in enumerate(seen, start=1)}
     return Rule(subst_atom(head, ren), tuple(subst_atom(a, ren) for a in body))
 
@@ -138,7 +138,12 @@ def canonicalize(r: Rule) -> Rule:
     renamed and matched it raises ``CanonicalFormBudgetError``.  The work
     pruning takes can depend on variable names and body order, so a rule
     near the cap may raise for one alpha-variant and not for another.
+
+    A variable-free rule has nothing to rename and no two body atoms of one
+    shape: it is its head and its deduplicated body in ``atom_key`` order.
     """
+    if atom_is_ground(r.head) and all(map(atom_is_ground, r.body)):
+        return make_rule(r.head, r.body) if r.body else r
     groups: list[list[Atom]] = []
     last = None
     # Full keys are unique within a set, so the atoms are never compared.
@@ -459,8 +464,7 @@ class Program:
 
     @property
     def is_ground(self) -> bool:
-        return all(atom_is_ground(r.head) and all(map(atom_is_ground, r.body))
-                   for r in self._rules)
+        return all(t.ground for r in self._rules for a in (r.head, *r.body) for t in a.args)
 
     def sorted_rules(self) -> list[Rule]:
         return sorted(self._rules, key=rule_key)
@@ -653,26 +657,78 @@ def gnd(p: Program, sig: Signature | None = None, depth: int = 0) -> Program:
     """All ground instances of the rules of ``p`` with variables drawn from
     the depth-bounded term universe.  Exact for function-free signatures.
 
-    Each instance is canonical as ``subst_rule`` builds it: a ground rule
-    has no variables to rename, and its body's deduplicated ``atom_key``
-    order is the canonical one.  Raises ``GroundingBudgetError``, before
-    it builds any instance, when there would be more than ``_GROUND_CAP``
-    of them."""
+    A ground rule has no variables to rename, so an instance is canonical
+    once its body is deduplicated and in ``atom_key`` order; ``_instances``
+    builds it so, and the rules of ``p`` without variables are kept as they
+    are.  Raises ``GroundingBudgetError``, before it builds any instance,
+    when there would be more than ``_GROUND_CAP`` of them."""
     if sig is None:
         sig = signature_of(p)
     terms = herbrand_terms(sig, depth)
     rule_names = [(r, sorted(rule_vars(r))) for r in p]
     if sum(len(terms) ** len(names) for _, names in rule_names) > _GROUND_CAP:
         raise GroundingBudgetError(f"grounding needs over {_GROUND_CAP} rule instances")
+    keys = [term_key(t) for t in terms]
     out: list[Rule] = []
     for r, names in rule_names:
-        if not names:
+        if names:
+            out += _instances(r, names, terms, keys)
+        else:
             out.append(r)
-            continue
-        for combo in product(terms, repeat=len(names)):
-            s: Subst = dict(zip(names, combo))
-            out.append(subst_rule(r, s))
     return Program._of_canonical(out)
+
+
+_first = itemgetter(0)
+
+
+def _instances(r: Rule, names: list[str], terms: list[Term],
+               keys: list[tuple]) -> Iterator[Rule]:
+    """The instances of ``r`` that bind its variables ``names`` to the
+    ``terms`` (whose ``term_key``s are ``keys``), in ``product`` order.
+
+    Each argument of ``r`` has a position in a row that holds an
+    instance's terms: a variable's slot in ``names``, then the ground
+    arguments, then the substituted compound arguments that hold variables.
+    An atom is built from its positions.  A body atom's sort key is its
+    predicate, its arity and the term keys at the same positions in the row
+    of keys, which orders and equates atoms as ``atom_key`` does.  The body
+    is sorted by key, and an atom whose key equals the one before it is
+    dropped: ground atoms are equal exactly when their keys are."""
+    atoms = (r.head, *r.body)
+    args = [t for a in atoms for t in a.args]
+    fixed = tuple(t for t in args if t.ground)
+    opened = [t for t in args if not t.ground and not isinstance(t, Var)]
+    slot = {n: i for i, n in enumerate(names)}
+    ground_at, open_at = count(len(names)), count(len(names) + len(fixed))
+    plans = [(a.pred, len(a.args),
+              tuple(slot[t.name] if isinstance(t, Var)
+                    else next(ground_at if t.ground else open_at) for t in a.args))
+             for a in atoms]
+    (pred, _, head_pos), *body_plans = plans
+    fixed_keys = tuple(map(term_key, fixed)) if len(body_plans) > 1 else ()
+    for row, key_row in zip(product(terms, repeat=len(names)),
+                            product(keys, repeat=len(names))):
+        row += fixed
+        if opened:
+            s: Subst = dict(zip(names, row))
+            done = tuple(subst_term(t, s) for t in opened)
+            row += done
+        head = Atom(pred, tuple(map(row.__getitem__, head_pos)))
+        if len(body_plans) < 2:
+            yield Rule(head, tuple(Atom(q, tuple(map(row.__getitem__, pos)))
+                                   for q, _, pos in body_plans))
+            continue
+        key_row += fixed_keys
+        if opened:
+            key_row += tuple(map(term_key, done))
+        keyed = sorted((((q, n, *map(key_row.__getitem__, pos)),
+                         Atom(q, tuple(map(row.__getitem__, pos))))
+                        for q, n, pos in body_plans), key=_first)
+        body = [keyed[0][1]]
+        for (last, _), (k, b) in zip(keyed, keyed[1:]):
+            if k != last:
+                body.append(b)
+        yield Rule(head, tuple(body))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,8 @@ class _Parser:
     def __init__(self, text: str, path: str):
         self.text = text
         self.path = path
-        self.tokens = [Token(m.lastgroup, m.group(), m.start())
+        # ``tuple.__new__`` skips ``Token.__new__``, which is Python code run per token.
+        self.tokens = [tuple.__new__(Token, (m.lastgroup, m.group(), m.start()))
                        for m in _TOKEN_RE.finditer(text) if m.lastgroup]
         self.tokens.append(Token("eof", "", len(text)))
         self.i = 0
@@ -251,7 +252,8 @@ def _separated(terms) -> list:
 def atom_to_text(a: Atom) -> str:
     if not a.args:
         return a.pred
-    return a.pred + "(" + ",".join(term_to_text(t) for t in a.args) + ")"
+    return a.pred + "(" + ",".join(t.name if isinstance(t, Const) else term_to_text(t)
+                                   for t in a.args) + ")"
 
 
 def rule_to_text(r: Rule) -> str:

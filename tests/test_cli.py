@@ -346,7 +346,9 @@ DETERMINISM_ARGS = pytest.mark.parametrize("args", [
      "--suffix", "s_member_append.lp", "?- member(X,[a,b]), member(X,[b]).", "--trace"),
     ("search", "--target", "ground_target.lp", "--base", "ground_base.lp"),
     ("similar", "ground_target.lp", "ground_base.lp"),
-], ids=["compose", "sld", "xsld", "search", "similar"])
+    ("gnd", "nat.lp", "--depth", "3"),
+    ("lm", "nat.lp", "--depth", "3"),
+], ids=["compose", "sld", "xsld", "search", "similar", "gnd", "lm"])
 
 
 class TestDeterminism:

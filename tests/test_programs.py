@@ -1,16 +1,19 @@
 """Structural program operators: duals, widths, groundings, reducts."""
 
 import random
+from itertools import product
 
 import pytest
 
 from seqhorn import (
     Atom,
+    Compound,
     Const,
     GroundingBudgetError,
     Program,
     Rule,
     Signature,
+    Var,
     body_minus,
     body_of,
     body_plus,
@@ -32,7 +35,7 @@ from seqhorn import (
     unit_restricted,
     width,
 )
-from seqhorn.programs import herbrand_terms, program_atoms
+from seqhorn.programs import herbrand_terms, program_atoms, rule_vars, subst_rule
 from conftest import PROP_ATOMS, random_fo_program, random_prop_program, random_interpretation
 
 
@@ -104,6 +107,22 @@ class TestConstruction:
         monkeypatch.undo()
         for result in results:
             assert Program(result.rules).rules == result.rules
+
+    def test_variable_free_rules_not_renamed(self, monkeypatch):
+        # Canonicalizing this chain rule by rule as if it had variables
+        # called _rename_first_occurrence 401 and atom_var_order 801 times.
+        import seqhorn.programs
+
+        calls = []
+        for name in ("_rename_first_occurrence", "atom_var_order"):
+            def counting(*args, name=name, f=getattr(seqhorn.programs, name)):
+                calls.append(name)
+                return f(*args)
+            monkeypatch.setattr(seqhorn.programs, name, counting)
+        p = parse_program("c(n0).\n" + "".join(f"c(n{i + 1}) :- c(n{i}).\n" for i in range(400)))
+        assert calls == []
+        assert len(p) == 401 and p.rules[1] == Rule(Atom("c", (Const("n1"),)),
+                                                    (Atom("c", (Const("n0"),)),))
 
 
 class TestDual:
@@ -217,7 +236,7 @@ class TestGnd:
         assert got == expected
 
     def test_emits_canonical_rules(self):
-        # gnd keeps its instances as subst_rule builds them, unchecked
+        # gnd keeps the instances it builds from variable positions, unchecked
         rng = random.Random(41)
         f = Signature(frozenset(), frozenset({("f", 1)}), frozenset())
         for _ in range(150):
@@ -229,6 +248,63 @@ class TestGnd:
                     assert c == r and c.body == r.body
                 assert tuple(g) == Program(g.rules).rules
                 assert g == Program(list(g))
+
+    @staticmethod
+    def _substituted(p, sig, depth):
+        """The grounding as substitution builds it: ``subst_rule`` binds each
+        rule's variables to every tuple of universe terms."""
+        terms = herbrand_terms(sig, depth)
+        return Program._of_canonical(
+            subst_rule(r, dict(zip(names, combo)))
+            for r in p for names in [sorted(rule_vars(r))]
+            for combo in product(terms, repeat=len(names)))
+
+    @staticmethod
+    def _random_program(rng):
+        """Rules over p/0, q/1, q/2 and r/2 whose arguments are X, Y, Z, a,
+        b and f(...) of those: head-only and repeated variables, constants
+        in bodies and atoms that coincide under an instance all occur."""
+        def term(nest):
+            x = rng.random()
+            if nest and x < 0.25:
+                return Compound("f", (term(nest - 1),))
+            return Var(rng.choice("XYZ")) if x < 0.7 else Const(rng.choice("ab"))
+
+        def atom():
+            pred, n = rng.choice((("p", 0), ("q", 1), ("q", 2), ("r", 2)))
+            return Atom(pred, tuple(term(1) for _ in range(n)))
+
+        return Program(Rule(atom(), tuple(atom() for _ in range(rng.randint(0, 3))))
+                       for _ in range(rng.randint(1, 3)))
+
+    def test_matches_substitution(self):
+        rng = random.Random(27)
+        f = Signature(frozenset(), frozenset({("f", 1)}), frozenset())
+        fixed = [parse_program(text) for text in (
+            "p :- q(X), q(Y).", "p(X) :- q(X), q(a).", "r(X, Y) :- r(Y, X), r(X, X).",
+            "q(f(X)) :- q(X), q(f(a)), p.", "r(X, Z) :- q(X).")]
+        for i in range(330):
+            p = fixed[i] if i < len(fixed) else self._random_program(rng)
+            sig = signature_of(p, extra_constants=("a",)) | f
+            assert gnd(p, sig, i % 3).rules == self._substituted(p, sig, i % 3).rules, p
+
+    def test_instances_built_from_variable_positions(self, monkeypatch):
+        # Substituting and sorting each instance atom by atom called
+        # subst_atom 3,072 and atom_key 2,016 times here.
+        import seqhorn.programs
+
+        p = parse_program("r(X,Y) :- e(X,Y), e(Y,X).")
+        sig = signature_of(p, extra_constants=[f"c{i}" for i in range(32)])
+        calls = dict.fromkeys(("subst_atom", "atom_key", "term_key"), 0)
+        for name in calls:
+            def counting(*args, name=name, f=getattr(seqhorn.programs, name)):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(seqhorn.programs, name, counting)
+        assert len(gnd(p, sig)) == 32 * 32
+        assert calls["subst_atom"] == calls["atom_key"] == 0
+        # the universe is sorted by term_key, and each term keyed once more
+        assert calls["term_key"] <= 2 * 32
 
 
 class TestGroundingCap:
