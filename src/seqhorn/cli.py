@@ -37,13 +37,12 @@ from .semantics import least_model, tp
 from .sld import DEFAULT_DEPTH_LIMIT, render_derivation, sld, translated_sld
 from .syntax import (
     ParseError,
-    atom_to_text,
+    atoms_to_text,
     parse_program,
     parse_query,
     program_to_text,
     rule_to_text,
 )
-from .terms import atom_key
 
 
 def _load(path: str) -> Program:
@@ -56,11 +55,6 @@ def _load(path: str) -> Program:
 
 def _print_program(p: Program) -> None:
     sys.stdout.write(program_to_text(p))
-
-
-def _print_atoms(atoms) -> None:
-    for a in sorted(atoms, key=atom_key):
-        print(atom_to_text(a) + ".")
 
 
 def _label(path: str) -> str:
@@ -92,7 +86,7 @@ def _cmd_gnd(args) -> int:
 def _cmd_lm(args) -> int:
     p = _load(args.program)
     grounded = gnd(p, signature_of(p), args.depth)
-    _print_atoms(least_model(grounded))
+    sys.stdout.write(atoms_to_text(least_model(grounded)))
     return 0
 
 
@@ -102,7 +96,7 @@ def _cmd_tp(args) -> int:
     if not all(r.is_fact for r in i):
         raise ParseError(1, 1, "facts file must contain facts only", args.facts)
     grounded = gnd(p, signature_of(p, i), args.depth)
-    _print_atoms(tp(grounded, frozenset(r.head for r in i)))
+    sys.stdout.write(atoms_to_text(tp(grounded, frozenset(r.head for r in i))))
     return 0
 
 

@@ -14,7 +14,7 @@ stateful facility is the fresh-name pool, which is always per-computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count, groupby, product
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -33,6 +33,7 @@ from .terms import (
     subst_atom,
     subst_term,
     term_key,
+    var_names,
 )
 
 
@@ -86,6 +87,7 @@ def rule_key(r: Rule):
 # Canonical forms
 
 _CANON_WORK_CAP = 100_000  # atoms one canonical-form search may rename or match
+_first = itemgetter(0)
 
 
 class CanonicalFormBudgetError(Exception):
@@ -131,54 +133,39 @@ def canonicalize(r: Rule) -> Rule:
     v2, ... in order of first occurrence in (head, body).  The result is
     exact, idempotent, and invariant under alpha-renaming.
 
-    The least ordering is found by filling body positions left to right and
-    branching only on atoms tied for the least renamed ``atom_key`` (see
-    ``_least_body``); rules without same-shape groups take no search.  The
-    search is exponential in the worst case: past ``_CANON_WORK_CAP`` atoms
-    renamed and matched it raises ``CanonicalFormBudgetError``.  The work
-    pruning takes can depend on variable names and body order, so a rule
-    near the cap may raise for one alpha-variant and not for another.
+    The body is sorted by one shape key per atom; full ``atom_key``s are
+    computed, and equal atoms dropped, only inside runs of one shape, each
+    of which becomes a group in full-key order.  The least ordering is
+    found by filling body positions left to right and branching only on
+    atoms tied for the least renaming (see ``_least_body``); rules without
+    same-shape groups take no search.  The search is exponential in the
+    worst case: past ``_CANON_WORK_CAP`` atoms renamed and matched it raises
+    ``CanonicalFormBudgetError``.  The work pruning takes can depend on
+    variable names and body order, so a rule near the cap may raise for one
+    alpha-variant and not for another.
 
     A variable-free rule has nothing to rename and no two body atoms of one
     shape: it is its head and its deduplicated body in ``atom_key`` order.
     """
     if atom_is_ground(r.head) and all(map(atom_is_ground, r.body)):
         return make_rule(r.head, r.body) if r.body else r
-    groups: list[list[Atom]] = []
-    last = None
-    # Full keys are unique within a set, so the atoms are never compared.
-    for shape, _, a in sorted((atom_key(a, named_vars=False), atom_key(a), a)
-                              for a in set(r.body)):
-        if groups and shape == last:
-            groups[-1].append(a)
-        else:
-            groups.append([a])
-            last = shape
-    if all(len(g) == 1 for g in groups):
-        return _rename_first_occurrence(r.head, tuple(g[0] for g in groups))
+    body: list[Atom] = []
+    groups: list[list[int]] = []  # the positions in ``body`` of each group
+    for _, run in groupby(sorted(((atom_key(a, named_vars=False), a) for a in r.body),
+                                 key=_first), key=_first):
+        run = [a for _, a in run]
+        if len(run) > 1:
+            keyed = sorted(((atom_key(a), a) for a in run), key=_first)
+            run = [a for i, (k, a) in enumerate(keyed) if not i or k != keyed[i - 1][0]]
+        groups.append(list(range(len(body), len(body) + len(run))))
+        body += run
+    if len(groups) == len(body):  # no two atoms of one shape
+        return _rename_first_occurrence(r.head, tuple(body))
     head_vars: dict[str, None] = {}
     atom_var_order(r.head, head_vars)
     numbering: Subst = {n: Var(f"v{i}") for i, n in enumerate(head_vars, start=1)}
     head = subst_atom(r.head, numbering)
-    return Rule(head, _least_body(groups, numbering))
-
-
-def _renamed(a: Atom, numbering: Subst) -> tuple:
-    """(key, atom, fresh): ``a`` renamed under ``numbering``, its unnumbered
-    variables taking the next numbers in first-occurrence order, which
-    ``fresh`` maps them to."""
-    order: dict[str, None] = {}
-    atom_var_order(a, order)
-    ren: Subst = {}
-    fresh: Subst = {}
-    nxt = len(numbering) + 1
-    for n in order:
-        v = numbering.get(n)
-        if v is None:
-            v = fresh[n] = Var(f"v{nxt + len(fresh)}")
-        ren[n] = v
-    renamed = subst_atom(a, ren)
-    return atom_key(renamed), renamed, fresh
+    return Rule(head, _least_body(body, groups, {n: v.name for n, v in numbering.items()}))
 
 
 def _match_args(cs: tuple, ds: tuple, f: dict[str, str], used: set[str],
@@ -209,11 +196,12 @@ def _match_args(cs: tuple, ds: tuple, f: dict[str, str], used: set[str],
     return True
 
 
-def _automorphism(f: dict[str, str], todo: list[str], left: set[Atom],
-                  occurs: dict[str, list[Atom]], steps: list[int]) -> Subst | None:
+def _automorphism(f: dict[str, str], todo: list[str], atoms: list[Atom], left: set[Atom],
+                  occurs: dict[str, list[int]], steps: list[int]) -> Subst | None:
     """A permutation of variable names that extends the injective map
     ``f`` and maps the atoms ``left`` onto themselves, or None.
-    ``occurs`` lists the atoms of ``left`` that hold each variable.
+    ``occurs`` lists the positions in ``atoms`` of the atoms of ``left``
+    that hold each variable.
 
     The atoms holding a newly mapped variable (``todo``) are matched
     against the atoms holding its image: an atom with one possible image
@@ -230,12 +218,12 @@ def _automorphism(f: dict[str, str], todo: list[str], left: set[Atom],
     opened: list[Atom] = []
     while todo:
         x = todo.pop()
-        for c in occurs.get(x, ()):
+        for c in map(atoms.__getitem__, occurs.get(x, ())):
             steps[0] -= 1
             if steps[0] < 0:
                 return None
             exts = []
-            for d in occurs.get(f[x], ()):
+            for d in map(atoms.__getitem__, occurs.get(f[x], ())):
                 ext: dict[str, str] = {}
                 if (d.pred == c.pred and len(d.args) == len(c.args)
                         and _match_args(c.args, d.args, f, used, ext)):
@@ -255,14 +243,14 @@ def _automorphism(f: dict[str, str], todo: list[str], left: set[Atom],
         if names <= f.keys():
             continue
         x = next(n for n in names if n in f)
-        for d in occurs.get(f[x], ()):
+        for d in map(atoms.__getitem__, occurs.get(f[x], ())):
             ext = {}
             steps[0] -= len(left) // 8 + 1
             if steps[0] < 0:
                 return None
             if (d.pred == c.pred and len(d.args) == len(c.args)
                     and _match_args(c.args, d.args, f, used, ext)):
-                perm = _automorphism({**f, **ext}, list(ext), left, occurs, steps)
+                perm = _automorphism({**f, **ext}, list(ext), atoms, left, occurs, steps)
                 if perm is not None:
                     return perm
         return None
@@ -274,21 +262,22 @@ def _automorphism(f: dict[str, str], todo: list[str], left: set[Atom],
         perm[y] = Var(x)
     moved = {b for x in perm for b in occurs[x]}
     steps[0] -= len(moved)
-    if steps[0] >= 0 and all(subst_atom(b, perm) in left for b in moved):
+    if steps[0] >= 0 and all(subst_atom(atoms[b], perm) in left for b in moved):
         return perm
     return None
 
 
-def _orbit_representatives(tied: list[tuple], left: list[Atom], numbering: Subst,
-                           names: dict[Atom, frozenset[str]],
+def _orbit_representatives(tied: list[tuple], left: list[int], numbering: dict[str, str],
+                           atoms: list[Atom], names: list[tuple[str, ...]],
                            budget: list[int]) -> list[tuple]:
     """The tied candidates less those an already kept one is taken to by a
-    permutation of the unnumbered variables that maps the atoms ``left``
-    onto themselves (orbit pruning): such a choice leads to a renaming of
-    what the kept one leads to.  ``names`` holds each atom's variables;
-    the atoms indexed and matched are taken from ``budget``."""
+    permutation of the unnumbered variables that maps the atoms at the
+    positions ``left`` onto themselves (orbit pruning): such a choice leads
+    to a renaming of what the kept one leads to.  ``names`` holds the
+    variables of each of the ``atoms``; the atoms indexed and matched are
+    taken from ``budget``."""
     _spend(budget, len(left))
-    occurs: dict[str, list[Atom]] = {}
+    occurs: dict[str, list[int]] = {}
     for b in left:
         for n in names[b]:
             occurs.setdefault(n, []).append(b)
@@ -307,15 +296,15 @@ def _orbit_representatives(tied: list[tuple], left: list[Atom], numbering: Subst
                     queue.append(y)
     kept: list[tuple] = []
     for c in tied:
-        new = list(c[3])
+        new = list(c[2])
         at = [dist.get(x) for x in new]
         for k, k_at in kept:
             if k_at != at:
                 continue
-            left_set = left_set or set(left)
+            left_set = left_set or set(map(atoms.__getitem__, left))
             steps = [8 * len(left)]
-            perm = _automorphism({**fixed, **dict(zip(k[3], new))}, list(k[3]), left_set,
-                                 occurs, steps)
+            perm = _automorphism({**fixed, **dict(zip(k[2], new))}, list(k[2]), atoms,
+                                 left_set, occurs, steps)
             _spend(budget, 8 * len(left) - steps[0])
             if perm is not None:
                 break
@@ -324,27 +313,45 @@ def _orbit_representatives(tied: list[tuple], left: list[Atom], numbering: Subst
     return [c for c, _ in kept]
 
 
-def _least_body(groups: list[list[Atom]], numbering: Subst) -> tuple[Atom, ...]:
-    """The least renaming of the body: its same-shape ``groups`` in order,
-    the atoms inside each ordered freely, ``numbering`` naming the head's
-    variables.
+def _least_body(atoms: list[Atom], groups: list[list[int]],
+                numbering: dict[str, str]) -> tuple[Atom, ...]:
+    """The least renaming of the body ``atoms``: its same-shape ``groups``
+    of positions in order, the atoms inside each ordered freely,
+    ``numbering`` naming the head's variables.
 
     Positions are filled left to right.  The frontier holds every distinct
     search state whose renamed prefix is the least so far: the atoms left
     in the current group, and the numbering met so far.  Each position
-    takes the least renamed ``atom_key`` that any state can place next,
-    and the new frontier is the states that place it, one per tied atom
-    outside the orbits already taken (``_orbit_representatives``); states
-    with the same atoms left, the same numbering of their variables and
-    the same next number are merged.  Atoms with no numbered variable and
-    the same pattern of variables rename alike, so a state renames one of
-    them.  ``_CANON_WORK_CAP`` bounds the atoms renamed by states beyond
-    the first and the atoms indexed and matched in pruning.
+    takes the least renaming that any state can place next, and the new
+    frontier is the states that place it, one per tied atom outside the
+    orbits already taken (``_orbit_representatives``); states with the same
+    atoms left, the same numbering of their variables and the same next
+    number are merged.  Atoms with no numbered variable and the same
+    pattern of variables rename alike, so a state renames one of them.
+    ``_CANON_WORK_CAP`` bounds the atoms renamed by states beyond the first
+    and the atoms indexed and matched in pruning.
+
+    Each atom's variable names are listed once, in preorder (``pre``) and
+    in first-occurrence order.  The atoms of one group differ only in the
+    names at their variable positions, so a candidate is ranked by the
+    tuple of its renamed names in preorder, which orders as its renamed
+    ``atom_key`` would; only the atom placed at each position is renamed.
     """
-    names = {a: frozenset(atom_vars(a)) for g in groups for a in g}
-    pattern = {a: _renamed(a, {})[0] for a in names}
+    pre = [tuple(var_names(a.args)) for a in atoms]
+    order = [tuple(dict.fromkeys(p)) for p in pre]
+    pattern = [tuple(map(o.index, p)) for p, o in zip(pre, order)]
+
+    def ranked(a: int, num: dict[str, str]) -> tuple:
+        """(a, key, fresh): the atom at ``a`` ranked under ``num``, its
+        unnumbered variables taking the next numbers, as ``fresh`` maps."""
+        fresh = {}
+        for n in order[a]:
+            if n not in num:
+                fresh[n] = f"v{len(num) + len(fresh) + 1}"
+        return a, tuple([num.get(n) or fresh[n] for n in pre[a]]), fresh
+
     body: list[Atom] = []
-    frontier: list[tuple[list[Atom], Subst]] = [(groups[0], numbering)]
+    frontier: list[tuple[list[int], dict[str, str]]] = [(groups[0], numbering)]
     gi = 0
     budget = [_CANON_WORK_CAP]
     while True:
@@ -353,50 +360,49 @@ def _least_body(groups: list[list[Atom]], numbering: Subst) -> tuple[Atom, ...]:
             if gi == len(groups):
                 return tuple(body)
             frontier = [(groups[gi], num) for _, num in frontier]
-        least = None  # (key, renamed atom) placed next
+        least = None  # the candidate placed next
         options: list[tuple] = []
         for i, (rest, num) in enumerate(frontier):
             cands = []
             alike: dict = {}  # pattern -> atoms of ``rest`` with no numbered variable
             for a in rest:
-                if num.keys().isdisjoint(names[a]):
+                if num.keys().isdisjoint(order[a]):
                     same = alike.setdefault(pattern[a], [])
                     same.append(a)
                     if len(same) > 1:
                         continue
-                cands.append((a, *_renamed(a, num)))
+                cands.append(ranked(a, num))
             if i:
                 _spend(budget, len(cands))
             low = min(cands, key=lambda c: c[1])
-            if least is None or low[1] < least[0]:
-                least, options = low[1:3], []
-            if low[1] == least[0]:
+            if least is None or low[1] < least[1]:
+                least, options = low, []
+            if low[1] == least[1]:
                 tied = []
                 for c in cands:
                     if c[1] == low[1]:
                         tied.append(c)
                         same = alike.get(pattern[c[0]], ())
-                        if same and same[0] is c[0]:  # c stands for the atoms alike
-                            tied.extend((b, *_renamed(b, num)) for b in same[1:])
+                        if same and same[0] == c[0]:  # c stands for the atoms alike
+                            tied.extend(ranked(b, num) for b in same[1:])
                 options.append((rest, num, tied))
-        body.append(least[1])
+        at, key = least[:2]
+        body.append(subst_atom(atoms[at], {n: Var(v) for n, v in zip(pre[at], key)}))
         later = [a for g in groups[gi + 1:] for a in g]
         succ = []
         for rest, num, tied in options:
             if len(tied) > 1:
-                tied = _orbit_representatives(tied, rest + later, num, names, budget)
-            succ.extend(([b for b in rest if b is not a], {**num, **fresh})
-                        for a, _, _, fresh in tied)
+                tied = _orbit_representatives(tied, rest + later, num, atoms, order, budget)
+            succ.extend(([b for b in rest if b != a], {**num, **fresh}) for a, _, fresh in tied)
         if len(succ) == 1:
             frontier = succ
             continue
-        later_names = frozenset().union(*(names[a] for a in later))
+        later_names = frozenset().union(*(order[a] for a in later))
         merged: dict = {}
         for rest, num in succ:
-            live = later_names.union(*(names[a] for a in rest))
-            # atoms by identity: hashing an atom walks its terms
-            key = (frozenset(map(id, rest)),
-                   frozenset((n, v.name) for n, v in num.items() if n in live), len(num))
+            live = later_names.union(*(order[a] for a in rest))
+            key = (frozenset(rest), frozenset(kv for kv in num.items() if kv[0] in live),
+                   len(num))
             merged.setdefault(key, (rest, num))
         frontier = list(merged.values())
 
@@ -676,9 +682,6 @@ def gnd(p: Program, sig: Signature | None = None, depth: int = 0) -> Program:
         else:
             out.append(r)
     return Program._of_canonical(out)
-
-
-_first = itemgetter(0)
 
 
 def _instances(r: Rule, names: list[str], terms: list[Term],

@@ -20,10 +20,11 @@ re-parses to an equal program.
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import NamedTuple
 
 from .programs import Program, Rule
-from .terms import Atom, Compound, Const, Term, Var
+from .terms import Atom, Compound, Const, Term, Var, atom_key
 
 NIL = Const("[]")
 CONS = "."
@@ -216,6 +217,20 @@ def _is_cons(t: Term) -> bool:
 
 
 def term_to_text(t: Term) -> str:
+    return _term_text(t, {})
+
+
+def _term_text(t: Term, memo: dict[Term, str]) -> str:
+    """The text of ``t``, which is added to ``memo``.  ``memo`` maps the
+    terms printed before in the same output to their texts, and each
+    compound subterm found there is printed from it.  Terms are looked up
+    by value, with their cached hashes: the atoms of a grounding share
+    their numerals, or build each one over the one a level down, so each
+    numeral is walked once per output."""
+    text = memo.get(t)
+    if text is not None:
+        return text
+    top = t
     # Pieces still to print, last first: literal strings and terms.  The
     # stack replaces recursion, so terms of any depth print.
     todo: list = [t]
@@ -228,6 +243,8 @@ def term_to_text(t: Term) -> str:
             out.append(_display_var(t.name))
         elif isinstance(t, Const):
             out.append(t.name)
+        elif (text := memo.get(t)) is not None:
+            out.append(text)
         else:
             if _is_cons(t):
                 elems: list[Term] = []
@@ -239,7 +256,8 @@ def term_to_text(t: Term) -> str:
             else:
                 pieces = [t.functor + "("] + _separated(t.args) + [")"]
             todo.extend(reversed(pieces))
-    return "".join(out)
+    text = memo[top] = "".join(out)
+    return text
 
 
 def _separated(terms) -> list:
@@ -250,21 +268,41 @@ def _separated(terms) -> list:
 
 
 def atom_to_text(a: Atom) -> str:
+    return _atom_text(a, {})
+
+
+def _atom_text(a: Atom, memo: dict[Term, str]) -> str:
+    """The text of ``a``, its arguments printed through ``memo`` (see
+    ``_term_text``)."""
     if not a.args:
         return a.pred
-    return a.pred + "(" + ",".join(t.name if isinstance(t, Const) else term_to_text(t)
+    return a.pred + "(" + ",".join(t.name if isinstance(t, Const) else _term_text(t, memo)
                                    for t in a.args) + ")"
 
 
+def atoms_to_text(atoms) -> str:
+    """The ``atoms`` in ``atom_key`` order, one fact per line; all of them
+    share one memo."""
+    memo: dict[Term, str] = {}
+    return "".join(_atom_text(a, memo) + ".\n" for a in sorted(atoms, key=atom_key))
+
+
 def rule_to_text(r: Rule) -> str:
+    return _rule_text(r, {})
+
+
+def _rule_text(r: Rule, memo: dict[Term, str]) -> str:
     if r.is_fact:
-        return atom_to_text(r.head) + "."
-    return atom_to_text(r.head) + " :- " + ", ".join(atom_to_text(a) for a in r.body) + "."
+        return _atom_text(r.head, memo) + "."
+    return (_atom_text(r.head, memo) + " :- "
+            + ", ".join(map(_atom_text, r.body, repeat(memo))) + ".")
 
 
 def program_to_text(p: Program) -> str:
-    """Deterministic canonical rendering, one rule per line."""
-    return "".join(rule_to_text(r) + "\n" for r in p.sorted_rules())
+    """Deterministic canonical rendering, one rule per line; all rules
+    share one memo."""
+    memo: dict[Term, str] = {}
+    return "".join(_rule_text(r, memo) + "\n" for r in p.sorted_rules())
 
 
 def goals_to_text(goals) -> str:

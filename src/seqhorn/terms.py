@@ -150,7 +150,7 @@ class Atom:
 # Variables and groundness
 
 
-def _var_names(terms: tuple[Term, ...]) -> list[str]:
+def var_names(terms: tuple[Term, ...]) -> list[str]:
     """Names of the variables in ``terms``, left to right, repeats included.
     Ground subterms are skipped; the others are walked on an explicit
     stack, so any depth works."""
@@ -176,7 +176,7 @@ def atom_vars(a: Atom, acc: set[str] | None = None) -> set[str]:
         if isinstance(t, Var):
             acc.add(t.name)
         elif not t.ground:
-            acc.update(_var_names(t.args))
+            acc.update(var_names(t.args))
     return acc
 
 
@@ -187,7 +187,7 @@ def atom_var_order(a: Atom, seen: dict[str, None]) -> None:
         if isinstance(t, Var):
             seen.setdefault(t.name)
         elif not t.ground:
-            for name in _var_names(t.args):
+            for name in var_names(t.args):
                 seen.setdefault(name)
 
 
@@ -244,7 +244,7 @@ def subst_atom(a: Atom, s: Subst) -> Atom:
 
 
 def _occurs(name: str, t: Term) -> bool:
-    return isinstance(t, Compound) and not t.ground and name in _var_names(t.args)
+    return isinstance(t, Compound) and not t.ground and name in var_names(t.args)
 
 
 def _unify_args(xs: tuple[Term, ...], ys: tuple[Term, ...], s: Subst) -> bool:

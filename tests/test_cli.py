@@ -341,6 +341,8 @@ class TestDeepInput:
 # left behind by an earlier call; each exits 0 on the fixtures.
 DETERMINISM_ARGS = pytest.mark.parametrize("args", [
     ("compose", "q_plus_append.lp", "plus.lp"),
+    # bodies of same-shape atoms, so the canonical-form search runs too
+    ("compose", "paths.lp", "e_reversed.lp"),
     ("sld", "member.lp", "?- member(X,[a,b,c]), member(X,[c,b]).", "--trace"),
     ("xsld", "--prefix", "q_member_append.lp", "--base", "append.lp",
      "--suffix", "s_member_append.lp", "?- member(X,[a,b]), member(X,[b]).", "--trace"),
@@ -348,7 +350,7 @@ DETERMINISM_ARGS = pytest.mark.parametrize("args", [
     ("similar", "ground_target.lp", "ground_base.lp"),
     ("gnd", "nat.lp", "--depth", "3"),
     ("lm", "nat.lp", "--depth", "3"),
-], ids=["compose", "sld", "xsld", "search", "similar", "gnd", "lm"])
+], ids=["compose", "compose-same-shape", "sld", "xsld", "search", "similar", "gnd", "lm"])
 
 
 class TestDeterminism:

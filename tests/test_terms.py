@@ -228,6 +228,37 @@ class TestRenameFresh:
         assert rename_fresh(r, FreshVars()) == r
 
 
+_DISJOINT_20 = [(f"X{i}", f"Y{i}") for i in range(20)]
+_CYCLE_40 = [(f"X{i}", f"X{(i + 1) % 40}") for i in range(40)]
+_TRIANGLES_20 = [(f"A{i}_{j}", f"A{i}_{(j + 1) % 3}") for i in range(20) for j in range(3)]
+_COMPLETE_4_8 = [(f"K{i}_{a}", f"K{i}_{b}") for i in range(8)
+                 for a in range(4) for b in range(4) if a != b]
+
+
+def _symmetric_rule(body) -> Rule:
+    return make_rule(Atom("p"), [Atom("e", (Var(x), Var(y))) for x, y in body])
+
+
+def _eight_of_one_shape() -> Rule:
+    rng = random.Random(808)
+    vs = [Var(f"X{i}") for i in range(6)]
+    body = set()
+    while len(body) < 8:
+        body.add(Atom("e", (rng.choice(vs), rng.choice(vs))))
+    return make_rule(Atom("h", (vs[0],)), body)
+
+
+def _rigid_compound_rule(seed: int) -> Rule:
+    """6-12 ``e/2`` atoms of one shape, with compound arguments and no head
+    variables."""
+    rng = random.Random(seed)
+    vs = [Var(f"X{i}") for i in range(rng.randint(4, 8))]
+    wrap = rng.choice([lambda v: v, lambda v: Compound("f", (v,)),
+                       lambda v: Compound("g", (v, Const("k")))])
+    return make_rule(Atom("p"), [Atom("e", (wrap(rng.choice(vs)), Compound("f", (rng.choice(vs),))))
+                                 for _ in range(rng.randint(6, 12))])
+
+
 class TestCanonicalize:
     def test_shared_variable_rule(self):
         r = make_rule(_raw_atom("p(Y)"), [_raw_atom("q(Y)"), _raw_atom("r(Y)")])
@@ -258,13 +289,49 @@ class TestCanonicalize:
 
     def test_matches_enumeration_beyond_seven_factorial(self):
         # 8 atoms of one shape: all 8! = 40320 orderings enumerated
-        rng = random.Random(808)
-        vs = [Var(f"X{i}") for i in range(6)]
-        body = set()
-        while len(body) < 8:
-            body.add(Atom("e", (rng.choice(vs), rng.choice(vs))))
-        rule = make_rule(Atom("h", (vs[0],)), body)
+        rule = _eight_of_one_shape()
         assert canonicalize(rule) == _canonicalize_by_enumeration(rule, cap=None)
+
+    def test_renames_only_the_atoms_it_places(self, monkeypatch):
+        # Candidates are ranked by their renamed variable names: the head
+        # and each placed atom are renamed once, and each body atom gets a
+        # shape key and a full key.  Building every candidate atom and its
+        # key took 49 renamings and 64 keys on this body.
+        rule = _eight_of_one_shape()
+        calls = {"subst_atom": 0, "atom_key": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(seqhorn.programs, name), **kw):
+                calls[_name] += 1
+                return _f(*args, **kw)
+
+            monkeypatch.setattr(seqhorn.programs, name, counting)
+        canonicalize(rule)
+        assert calls["subst_atom"] <= 9
+        assert calls["atom_key"] <= 2 * len(rule.body)
+
+    @pytest.mark.parametrize("rules,work", [
+        ([_symmetric_rule(_DISJOINT_20)], 969),
+        ([_symmetric_rule(_CYCLE_40)], 4_720),
+        ([_symmetric_rule(_TRIANGLES_20)], 7_847),
+        ([_symmetric_rule(_COMPLETE_4_8)], 31_476),
+        ([_eight_of_one_shape()], 20),
+        ([_rigid_compound_rule(seed) for seed in range(40)], 6_334),
+    ], ids=["disjoint-20", "cycle-40", "triangles-20", "complete-4-8", "eight", "rigid-40"])
+    def test_work_charged(self, rules, work, monkeypatch):
+        # The work the search charges to its cap, pinned: a faster search
+        # must neither prune less nor charge differently, or the cap would
+        # move for the rules that reach it.
+        charged = []
+        spend = seqhorn.programs._spend
+
+        def counting(budget, w):
+            charged.append(w)
+            spend(budget, w)
+
+        monkeypatch.setattr(seqhorn.programs, "_spend", counting)
+        for rule in rules:
+            canonicalize(rule)
+        assert sum(charged) == work
 
     def test_alpha_variants_of_large_groups_coincide(self):
         # 8-10 same-shape e(X,Y) atoms: beyond 7! orderings per group
@@ -278,12 +345,10 @@ class TestCanonicalize:
             assert canonicalize(variant) == canonicalize(rule)
 
     @pytest.mark.parametrize("body,cap", [
-        ([(f"X{i}", f"Y{i}") for i in range(20)], 5_000),  # pairwise disjoint
-        ([(f"X{i}", f"X{(i + 1) % 40}") for i in range(40)], 7_000),  # one cycle
-        ([(f"A{i}_{j}", f"A{i}_{(j + 1) % 3}") for i in range(20) for j in range(3)],
-         20_000),
-        ([(f"K{i}_{a}", f"K{i}_{b}") for i in range(8)
-          for a in range(4) for b in range(4) if a != b], 100_000),
+        (_DISJOINT_20, 5_000),  # pairwise disjoint
+        (_CYCLE_40, 7_000),  # one cycle
+        (_TRIANGLES_20, 20_000),
+        (_COMPLETE_4_8, 100_000),
     ], ids=["disjoint-20", "cycle-40", "triangles-20", "complete-4-8"])
     def test_symmetric_worst_cases(self, body, cap, monkeypatch):
         # Each cap is 1.5-5 times the work the search needs.  Pruning by
@@ -291,7 +356,7 @@ class TestCanonicalize:
         # rotations (9k work) and moves between components: m disjoint
         # triangles or complete digraphs then leave 2^m sets to place.
         monkeypatch.setattr(seqhorn.programs, "_CANON_WORK_CAP", cap)
-        rule = make_rule(Atom("p"), [Atom("e", (Var(x), Var(y))) for x, y in body])
+        rule = _symmetric_rule(body)
         once = canonicalize(rule)
         assert canonicalize(once) == once
         assert canonicalize(_renamed_shuffled(rule, random.Random(40))) == once
@@ -389,11 +454,14 @@ def test_canonicalize_alpha_invariant(rule, perm):
     assert canonicalize(renamed) == canonicalize(rule)
 
 
+_tied_var_strategy = st.sampled_from([Var(f"X{i}") for i in range(12)])
 _tied_atom_strategy = st.builds(
     lambda pred, args: Atom(pred, tuple(args)),
     st.sampled_from(["e", "p"]),
-    st.lists(st.one_of(st.sampled_from([Var(f"X{i}") for i in range(12)]),
-                       st.just(Const("k"))),
+    st.lists(st.one_of(_tied_var_strategy,
+                       st.just(Const("k")),
+                       st.builds(lambda x: Compound("f", (x,)), _tied_var_strategy),
+                       st.builds(lambda x: Compound("g", (x, Const("k"))), _tied_var_strategy)),
              min_size=1, max_size=2),
 )
 
@@ -402,7 +470,8 @@ _tied_atom_strategy = st.builds(
 @given(st.lists(st.sampled_from([Var(f"X{i}") for i in range(12)]), max_size=2),
        st.lists(_tied_atom_strategy, max_size=8))
 def test_canonicalize_matches_enumeration(head_vars, body):
-    # same-shape groups of at most 7! orderings, where brute force is cheap
+    # same-shape groups of at most 7! orderings, where brute force is cheap;
+    # arguments such as f(X) and g(X,k) put variables below the top level
     rule = make_rule(Atom("h", tuple(head_vars)), body)
     want = _canonicalize_by_enumeration(rule)
     assume(want is not None)
