@@ -6,9 +6,11 @@ A reduction certificate claims ``target = (prefix o base) o suffix``.
 propositional) programs, rule by rule: a prefix rule keeps the target
 rule's head and rewrites its body into base-rule heads; suffix rules map
 the chosen base rules' body atoms back to the target rule's body.  Options
-that survive the per-rule filters are combined; the assembly's leak test
-is the decision, so a completed assembly is the certificate, and the
-procedure is complete within exhaustive bounds while staying deterministic.
+that survive the per-rule filters are combined, and each rule's are built
+one suffix size at a time, when the assembly first reaches that size; the
+assembly's leak test is the decision, so a completed assembly is the
+certificate, and the procedure is complete within exhaustive bounds while
+staying deterministic.
 
 First-order decomposition search is out of scope: for non-ground inputs
 only the width necessary condition is consulted (verification itself works
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 from .compose import compose
 from .programs import (
@@ -147,7 +149,7 @@ def search_reduction(p: Program, r: Program,
     of them) fit in a suffix body.
 
     Leaks are tested incrementally.  A prefix rule ``q`` composed with the
-    base gives mid rules ``q o R``, built once, by the option loop; each mid
+    base gives mid rules ``q o R``, built once per class (below); each mid
     rule, composed with the suffix, emits one body per choice of a suffix
     rule for each of its body atoms.  ``_unions`` builds both the mid bodies
     and the emitted ones.  Emissions are monotone in both the prefix and
@@ -173,7 +175,9 @@ def search_reduction(p: Program, r: Program,
     the first of each class in the assembly's order is generated, so the
     first certificate found is the one the full order gives, and the
     combinations of base heads leave out heads that cannot change the mid
-    rules (base facts, and repeats of a head's only body).
+    rules (base facts, and repeats of a head's only body).  A rule's
+    options are built one suffix size at a time, a size only once a node at
+    the rule's depth has tried every smaller one, so most are never built.
     """
     if width_blocks(p, r):
         return SearchResult(NOT_FOUND, exhaustive=True)
@@ -188,8 +192,11 @@ def search_reduction(p: Program, r: Program,
 
     p_rules = [(index[rl.head], _mask(rl, index)) for rl in p.sorted_rules()]
     by_head_r: dict[int, list[int]] = {}
+    r_body = 0
     for rl in r.sorted_rules():
-        by_head_r.setdefault(index[rl.head], []).append(_mask(rl, index))
+        m = _mask(rl, index)
+        by_head_r.setdefault(index[rl.head], []).append(m)
+        r_body |= m
     targets_by_head: dict[int, set[int]] = {}
     for h, m in p_rules:
         targets_by_head.setdefault(h, set()).add(m)
@@ -213,9 +220,12 @@ def search_reduction(p: Program, r: Program,
 
     # Per-rule options: (prefix_rule, tuple of suffix rules) pairs that
     # can reproduce the rule and leak nothing with this head, in the order
-    # the assembly tries them.  mid_rules holds the rules q o R, as (head,
-    # body) pairs, for each prefix rule q of an option.
+    # the assembly tries them: by suffix size, then by prefix rule and
+    # suffix.  all_options[i] holds the size groups of target rule i built
+    # so far, and pending[i] what builds the rest.  mid_rules holds the rules
+    # q o R, as (head, body) pairs, for each prefix rule q of a class.
     all_options: list[list[tuple[tuple[int, int], tuple[tuple[int, int], ...]]]] = []
+    pending = []
     mid_rules: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
     for h, bmask in p_rules:
         targets = targets_by_head[h]
@@ -225,33 +235,27 @@ def search_reduction(p: Program, r: Program,
                      for ws in combinations(body_atoms, size)]
         # The prefix rules h :- beta with the same mid bodies form one class
         # of interchangeable values (Freuder, AAAI 1991): its suffixes are
-        # found once, and its options use its least beta, the one the sort
-        # below puts first.  The empty beta gives the fact option (h, 0) of
+        # found once, and its options use its least beta, the one the option
+        # order puts first.  The empty beta gives the fact option (h, 0) of
         # a fact h.
-        classes: dict[frozenset[int], list] = {}
+        classes: dict[frozenset[int], int] = {}
         for size in range(min(max_body, len(free_heads)) + 1):
             for beta in combinations(free_heads, size):
                 beta_mask = sum(1 << b for b in beta)
                 mids = frozenset(_unions(beta_mask, by_head_r))
-                cls = classes.get(mids)
-                if cls is None:
-                    classes[mids] = [beta_mask, _suffixes(mids, allowed_w, bmask, targets)]
-                elif beta_mask < cls[0]:
-                    cls[0] = beta_mask
+                if classes.get(mids, beta_mask) >= beta_mask:
+                    classes[mids] = beta_mask
                 if clock.expired():
                     return SearchResult(BUDGET_EXCEEDED, elapsed=clock.elapsed)
-        options: list[tuple[tuple[int, int], tuple[tuple[int, int], ...]]] = []
-        for mids, (beta_mask, suffixes) in classes.items():
-            if suffixes:
-                mid_rules[h, beta_mask] = frozenset((h, m) for m in mids)
-                options += [((h, beta_mask), suffix) for suffix in suffixes]
-        if not options:
+        for mids, beta_mask in classes.items():
+            mid_rules[h, beta_mask] = frozenset((h, m) for m in mids)
+        # A mid has at most the atoms of the base bodies, one suffix rule each.
+        pending.append((iter(range(r_body.bit_count() + 1)), h, classes, allowed_w, bmask,
+                        targets))
+        all_options.append(_next_group(*pending[-1]))
+        if not all_options[-1]:
             return SearchResult(NOT_FOUND, exhaustive=exhaustive and bmask not in clipped,
                                 elapsed=clock.elapsed)
-        # The key is unique per option, so the order does not depend on the
-        # order the options were generated in.
-        options.sort(key=lambda o: (len(o[1]), o[0], o[1]))
-        all_options.append(options)
 
     # Combine one option per rule by depth-first assembly.  Emissions are
     # monotone in both the prefix and the suffix (more rules only add
@@ -285,6 +289,12 @@ def search_reduction(p: Program, r: Program,
                     entered = True
                     break
             else:
+                # untried is spent: the node goes on with the next size group
+                group = _next_group(*pending[len(stack) - 1])
+                if group:
+                    all_options[len(stack) - 1] += group
+                    stack[-1] = iter(group), memo
+                    continue
                 stack.pop()
                 if trail:
                     _, new, added = trail.pop()
@@ -303,31 +313,48 @@ def search_reduction(p: Program, r: Program,
     return SearchResult(FOUND, cert, elapsed=clock.elapsed)
 
 
-def _suffixes(mids, allowed_w, bmask, targets):
+def _next_group(sizes, h, classes, allowed_w, bmask, targets):
+    """The options of target rule h :- ``bmask`` whose mid has k atoms, for
+    the first k left in ``sizes`` that has any, sorted by prefix rule and
+    suffix; empty when no size is left.  ``classes`` maps each class's mid
+    bodies to its least beta."""
+    for k in sizes:
+        group = []
+        for mids, beta_mask in classes.items():
+            for mid in mids:
+                if mid.bit_count() == k:
+                    group += zip(repeat((h, beta_mask)),
+                                 _suffixes(mid, mids, allowed_w, bmask, targets))
+        if group:
+            group.sort()
+            return group
+    return []
+
+
+def _suffixes(mid, mids, allowed_w, bmask, targets):
     """The suffixes, as tuples of (head, body) pairs in head order, with
     which a prefix rule whose mid bodies are ``mids`` emits the target body
-    ``bmask`` and no body outside ``targets``; each suffix body is one of
-    ``allowed_w``."""
+    ``bmask`` from its mid body ``mid``, and no body outside ``targets``;
+    each suffix body is one of ``allowed_w``."""
     out = []
-    for mid in mids:
-        mid_atoms = list(_bits(mid))
-        # With one suffix rule (c, w_c) per c in mid, the candidate emits
-        # (h, union of w_c for c in m) for each m <= mid in mids: (h, bmask)
-        # itself for m = mid, and possible leaks for the smaller ones.  A mid
-        # of 0 is a fact: a suffix with no rule, when h is one.
-        inner = [m for m in mids if m & mid == m and m != mid]
-        for ws in product(allowed_w, repeat=len(mid_atoms)):
-            u = 0
-            for w in ws:
-                u |= w
-            if u != bmask:
+    mid_atoms = list(_bits(mid))
+    # With one suffix rule (c, w_c) per c in mid, the candidate emits
+    # (h, union of w_c for c in m) for each m <= mid in mids: (h, bmask)
+    # itself for m = mid, and possible leaks for the smaller ones.  A mid
+    # of 0 is a fact: a suffix with no rule, when h is one.
+    inner = [m for m in mids if m & mid == m and m != mid]
+    for ws in product(allowed_w, repeat=len(mid_atoms)):
+        u = 0
+        for w in ws:
+            u |= w
+        if u != bmask:
+            continue
+        suffix = tuple(zip(mid_atoms, ws))
+        if inner:
+            by_head_s = {c: (w,) for c, w in suffix}
+            if any(not _unions(m, by_head_s) <= targets for m in inner):
                 continue
-            suffix = tuple(zip(mid_atoms, ws))
-            if inner:
-                by_head_s = {c: (w,) for c, w in suffix}
-                if any(not _unions(m, by_head_s) <= targets for m in inner):
-                    continue
-            out.append(suffix)
+        out.append(suffix)
     return out
 
 

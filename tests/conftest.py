@@ -57,6 +57,38 @@ def recursion_limit_unchanged():
     assert after == before, f"the recursion limit changed from {before} to {after}"
 
 
+class _CountingClock:
+    """Stands in for ``seqhorn.decompose._Clock``: a budget of B allows B
+    budget checks, and ``checks`` counts them, so an outcome does not hang
+    on the machine's speed."""
+
+    instances: list = []
+
+    def __init__(self, budget: float) -> None:
+        self.checks = 0
+        self.limit = budget
+        _CountingClock.instances.append(self)
+
+    @property
+    def elapsed(self) -> float:
+        return float(self.checks)
+
+    def expired(self) -> bool:
+        self.checks += 1
+        return self.checks > self.limit
+
+
+@pytest.fixture
+def counting_clock(monkeypatch):
+    """Puts searches on ``_CountingClock``; returns the list its instances
+    are appended to."""
+    import seqhorn.decompose
+
+    monkeypatch.setattr(seqhorn.decompose, "_Clock", _CountingClock)
+    monkeypatch.setattr(_CountingClock, "instances", [])
+    return _CountingClock.instances
+
+
 PROP_ATOMS = tuple(Atom(name) for name in "abcd")
 
 

@@ -45,6 +45,10 @@ def atoms(*names):
 PI = parse_program("a :- b.\nb :- a.")
 # similar-self-14 of the benchmark's search workload, seed 1
 _SELF_14 = "a42 :- a36, a42.\na42 :- a58.\na9 :- a9, a42.\na58 :- a58, a36."
+# random5-12 and similar-self-3 of the same workload and seed
+_RANDOM5_12 = ("a46 :- a57, a48.\na3 :- a46, a48.\na55 :- a57, a55.\na55 :- a48, a57.",
+               "a46 :- a46.\na55 :- a57, a3.\na48 :- a48, a55.")
+_SELF_3 = "a37 :- a36, a6.\na57 :- a37, a57.\na36 :- a36, a29.\na6 :- a6, a29."
 P_SWAP = parse_program("c.\na :- b, c.\nb :- a, c.")
 
 
@@ -307,38 +311,6 @@ class TestSearchReduction:
         assert verify(result.certificate)
 
 
-class _CountingClock:
-    """Stands in for ``seqhorn.decompose._Clock``: a budget of B allows B
-    budget checks, and ``checks`` counts them, so an outcome does not hang
-    on the machine's speed."""
-
-    instances: list = []
-
-    def __init__(self, budget: float) -> None:
-        self.checks = 0
-        self.limit = budget
-        _CountingClock.instances.append(self)
-
-    @property
-    def elapsed(self) -> float:
-        return float(self.checks)
-
-    def expired(self) -> bool:
-        self.checks += 1
-        return self.checks > self.limit
-
-
-@pytest.fixture
-def counting_clock(monkeypatch):
-    """Puts searches on ``_CountingClock``; returns the list its instances
-    are appended to."""
-    import seqhorn.decompose
-
-    monkeypatch.setattr(seqhorn.decompose, "_Clock", _CountingClock)
-    monkeypatch.setattr(_CountingClock, "instances", [])
-    return _CountingClock.instances
-
-
 def _pinned_pair(seed):
     # Even seeds: two random 4-rule programs; odd seeds: a target planted
     # as (Q o R) o S with at least two rules.
@@ -455,6 +427,74 @@ class TestPinnedSearches:
         result = search_reduction(p, extended)
         assert result.status == NOT_FOUND
         assert result.exhaustive
+
+
+class TestOptionGroups:
+    """A target rule's options are built one suffix size at a time, when
+    the assembly first reaches that size."""
+
+    def test_assembly_reads_the_sorted_options(self, monkeypatch):
+        # An assembly that rejects every option but the last of each depth
+        # reads every target rule's options.  They must be the eager list:
+        # the suffixes of every class over all its mids, sorted by suffix
+        # size, prefix rule and suffix.
+        import seqhorn.decompose as dec
+
+        next_group, eager, read = dec._next_group, {}, {}
+
+        def recording_next_group(sizes, h, classes, allowed_w, bmask, targets):
+            if (h, bmask) not in eager:
+                options = [((h, beta), s) for mids, beta in classes.items() for mid in mids
+                           for s in dec._suffixes(mid, mids, allowed_w, bmask, targets)]
+                eager[h, bmask] = sorted(options, key=lambda o: (len(o[1]), o[0], o[1]))
+                read[h, bmask] = []
+            return next_group(sizes, h, classes, allowed_w, bmask, targets)
+
+        def last_only_step(option, *args):
+            (h, _), suffix = option
+            bmask = 0
+            for _, w in suffix:
+                bmask |= w
+            read[h, bmask].append(option)
+            return (option, [], []) if option == eager[h, bmask][-1] else None
+
+        monkeypatch.setattr(dec, "_next_group", recording_next_group)
+        monkeypatch.setattr(dec, "_step", last_only_step)
+        rng = random.Random(48)
+        found = sizes = 0
+        for _ in range(210):
+            universe = tuple(Atom(c) for c in "abcde"[:rng.randint(3, 5)])
+            p, r = random_prop_program(rng, universe), random_prop_program(rng, universe)
+            for max_body in (None, 1, 2):
+                eager.clear()
+                read.clear()
+                result = search_reduction(p, r, SearchBounds(max_body=max_body))
+                if result.found:
+                    assert read == eager, (p, r, max_body)
+                    found += 1
+                    sizes += sum(len(o[-1][1]) > len(o[0][1]) for o in eager.values())
+                else:  # width, or a target rule with no option: no assembly
+                    assert not any(read.values())
+                    assert not eager or not list(eager.values())[-1]
+        assert found > 300 and sizes > 300, (found, sizes)
+
+    @pytest.mark.parametrize("target,base,most", [(*_RANDOM5_12, 100), (_SELF_3, _SELF_3, 150)],
+                             ids=["random5-12", "similar-self-3"])
+    def test_options_built_on_demand(self, monkeypatch, counting_clock, target, base, most):
+        # Building every option before the assembly built 5,212 and 5,181 of
+        # them; the assembly tries 16 of the first pair's.
+        import seqhorn.decompose as dec
+
+        suffixes, built = dec._suffixes, []
+
+        def counted(*args):
+            out = suffixes(*args)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(dec, "_suffixes", counted)
+        search_reduction(parse_program(target), parse_program(base), SearchBounds(time_budget=50))
+        assert 0 < sum(built) <= most
 
 
 class TestMaskPipeline:

@@ -1,5 +1,5 @@
-"""Differential tests of ``compose``, ``gnd``, ``least_model`` and ``tp``
-against the benchmark's independent reference (the ``reference`` fixture
+"""Differential tests of ``compose``, ``gnd``, ``least_model``, ``tp`` and
+the certificates of ``search_reduction`` against the benchmark's independent reference (the ``reference`` fixture
 in conftest)."""
 
 import random
@@ -9,7 +9,9 @@ from seqhorn import (
     Compound,
     Const,
     Program,
+    SearchBounds,
     Var,
+    certificate_to_text,
     compose,
     gnd,
     interpretation,
@@ -17,10 +19,16 @@ from seqhorn import (
     make_rule,
     parse_program,
     program_to_text,
+    search_reduction,
     signature_of,
     tp,
 )
-from conftest import assert_reference_compose, random_fo_atom, random_fo_program
+from conftest import (
+    assert_reference_compose,
+    random_fo_atom,
+    random_fo_program,
+    random_prop_program,
+)
 
 
 # Few predicates and variables, so that bodies often hold atoms of the same
@@ -143,3 +151,25 @@ def test_ground_depth_one_function_symbol(reference):
             if rng.random() < 0.5:
                 i = parse_program("p(f(f(a))).\nr(a, g(a, f(a))).")
             _agree_ground(reference, p, i, depth)
+
+
+def test_search_certificates_compose_to_the_target(reference, counting_clock):
+    # Search returns the certificate its assembly built without composing
+    # it.  The reference reads each one found on pairs not planted, over 4
+    # to 6 atoms on a budget of 50 checks, and composes it on its own sets.
+    rng = random.Random(65)
+    found = 0
+    for _ in range(320):
+        universe = tuple(Atom(c) for c in "abcdef"[:rng.randint(4, 6)])
+        p, r = random_prop_program(rng, universe), random_prop_program(rng, universe)
+        result = search_reduction(p, r, SearchBounds(time_budget=50))
+        if result.found:
+            cert = reference.parse_certificate(certificate_to_text(result.certificate))
+            context = certificate_to_text(result.certificate)
+            assert cert["TARGET"] == _ground_rules(reference, p), context
+            assert cert["BASE"] == _ground_rules(reference, r), context
+            composed = reference.prop_compose(
+                reference.prop_compose(cert["PREFIX"], cert["BASE"]), cert["SUFFIX"])
+            assert composed == cert["TARGET"], context
+            found += 1
+    assert found > 100, found
